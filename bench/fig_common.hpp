@@ -47,9 +47,9 @@ inline core::JamCacheConfig HotJamCache() {
 
 /// Compact switched-tree incast fabric for the `--tree` bench variants:
 /// host -> ToR -> spine with 4:1 trunk oversubscription, so the ToR
-/// uplinks congest and ECN marks fire under incast. HostMemory is real
-/// memory, so the 33-65 host sweeps shrink every arena to the package
-/// plus mailbox footprint instead of the paper's 512 MiB testbed shape.
+/// uplinks congest and ECN marks fire under incast. Every host keeps the
+/// paper's 512 MiB arena; arenas are lazy, so the 33-65 host sweeps pay
+/// only for the pages they touch.
 inline core::FabricOptions TreeBenchFabric(std::uint32_t senders,
                                            bool adaptive,
                                            std::uint32_t hub_pool_cores = 1) {
@@ -70,13 +70,8 @@ inline core::FabricOptions TreeBenchFabric(std::uint32_t senders,
   options.runtime.mailbox_slot_bytes = KiB(4);
   options.runtime.adaptive.enabled = adaptive;
   options.host = paper.host0;
-  options.host.memory_bytes = MiB(24);
-  options.host_overrides.assign(options.hosts, options.host);
-  options.host_overrides[0].memory_bytes =
-      MiB(48) + std::uint64_t{senders} * options.runtime.banks *
-                    options.runtime.mailboxes_per_bank *
-                    options.runtime.mailbox_slot_bytes;
   if (hub_pool_cores > 1) {
+    options.host_overrides.assign(options.hosts, options.host);
     options.host_overrides[0].cache.cores =
         std::max(options.host.cache.cores, hub_pool_cores + 1);
     options.runtime_overrides.assign(options.hosts, options.runtime);

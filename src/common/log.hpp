@@ -38,21 +38,8 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-/// Swallows the streamed expression when the level is filtered out.
-struct LogSink {
-  template <typename T>
-  LogSink& operator<<(const T&) { return *this; }
-};
-
 }  // namespace detail
 }  // namespace twochains
-
-#define TC_LOG(level)                                                     \
-  (static_cast<int>(::twochains::LogLevel::level) <                       \
-   static_cast<int>(::twochains::GetLogLevel()))                          \
-      ? (void)0                                                           \
-      : (void)(::twochains::detail::LogMessage(                           \
-            ::twochains::LogLevel::level, __FILE__, __LINE__))
 
 #define TC_DEBUG ::twochains::detail::LogMessage(::twochains::LogLevel::kDebug, __FILE__, __LINE__)
 #define TC_INFO  ::twochains::detail::LogMessage(::twochains::LogLevel::kInfo, __FILE__, __LINE__)

@@ -119,6 +119,7 @@ std::vector<std::uint8_t> SerializeImage(const LinkedImage& image) {
   WriteBlob(w, image.text);
   WriteBlob(w, image.rodata);
   WriteBlob(w, image.data);
+  w.U64(image.data_zero_fill);
   w.U64(image.rodata_offset);
   w.U64(image.got_offset);
   w.U64(image.data_offset);
@@ -151,6 +152,7 @@ StatusOr<LinkedImage> ParseImage(std::span<const std::uint8_t> bytes) {
   TC_ASSIGN_OR_RETURN(image.text, ReadBlob(r));
   TC_ASSIGN_OR_RETURN(image.rodata, ReadBlob(r));
   TC_ASSIGN_OR_RETURN(image.data, ReadBlob(r));
+  TC_ASSIGN_OR_RETURN(image.data_zero_fill, r.U64());
   TC_ASSIGN_OR_RETURN(image.rodata_offset, r.U64());
   TC_ASSIGN_OR_RETURN(image.got_offset, r.U64());
   TC_ASSIGN_OR_RETURN(image.data_offset, r.U64());

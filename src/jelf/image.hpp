@@ -8,6 +8,11 @@
 //   +got_offset       GOT       (8 bytes per slot, filled at load time)
 //   +data_offset      .data     (merged writable data)
 //
+// Like an ELF segment's filesz/memsz split, `data` holds .data only up to
+// its last nonzero byte and `data_zero_fill` counts the zero bytes after
+// it, so a large zero-initialised heap is neither stored nor copied into
+// every host that loads the library.
+//
 // With `page_align_sections` (the default for ried libraries) each section
 // starts on a page so the loader can enforce W^X: text RX, rodata R, GOT
 // RW-then-RO, data RW. Jams link with it off — their images are code+rodata
@@ -45,6 +50,8 @@ struct LinkedImage {
   std::vector<std::uint8_t> text;
   std::vector<std::uint8_t> rodata;
   std::vector<std::uint8_t> data;
+  /// Zero bytes of .data that follow `data` (the loader zero-fills them).
+  std::uint64_t data_zero_fill = 0;
 
   std::uint64_t rodata_offset = 0;
   std::uint64_t got_offset = 0;

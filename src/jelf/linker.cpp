@@ -26,6 +26,17 @@ std::uint64_t SectionAlign(vm::SectionKind kind) {
   return 8;
 }
 
+/// Length of @p bytes up to and including its last nonzero byte.
+std::size_t InitializedPrefix(std::span<const std::uint8_t> bytes) {
+  std::size_t n = bytes.size();
+  for (std::uint64_t word = 0; n >= sizeof(word); n -= sizeof(word)) {
+    std::memcpy(&word, bytes.data() + n - sizeof(word), sizeof(word));
+    if (word != 0) break;
+  }
+  while (n > 0 && bytes[n - 1] == 0) --n;
+  return n;
+}
+
 }  // namespace
 
 StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
@@ -38,6 +49,7 @@ StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
 
   // ---- 1. merge sections, remembering per-object placements ----------
   std::vector<Placement> place(objects.size());
+  std::uint64_t data_size = 0;  // merged .data bytes, zero tail included
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const auto& obj = objects[i];
     if (obj.text.size() % vm::kInstrBytes != 0) {
@@ -62,10 +74,18 @@ StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
     image.rodata.insert(image.rodata.end(), obj.rodata.begin(),
                         obj.rodata.end());
 
-    pad(image.data, SectionAlign(vm::SectionKind::kData));
-    place[i].data = image.data.size();
-    image.data.insert(image.data.end(), obj.data.begin(), obj.data.end());
+    // .data keeps only bytes up to the last nonzero one; the zeros after
+    // it (alignment padding included) are counted in data_size.
+    place[i].data = AlignUp(data_size, SectionAlign(vm::SectionKind::kData));
+    const std::size_t init = InitializedPrefix(obj.data);
+    if (init > 0) {
+      image.data.resize(place[i].data, 0);
+      image.data.insert(image.data.end(), obj.data.begin(),
+                        obj.data.begin() + init);
+    }
+    data_size = place[i].data + obj.data.size();
   }
+  image.data_zero_fill = data_size - image.data.size();
 
   // ---- 2. layout ------------------------------------------------------
   const std::uint64_t align =
@@ -136,12 +156,8 @@ StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
   const std::uint64_t got_bytes = image.got_symbols.size() * 8ull;
   image.data_offset = AlignUp(image.got_offset + got_bytes, align);
   image.total_size =
-      AlignUp(image.data_offset + image.data.size(),
+      AlignUp(image.data_offset + data_size,
               options.page_align_sections ? mem::kPageSize : 8);
-  if (image.data.empty()) {
-    image.total_size = AlignUp(
-        image.data_offset, options.page_align_sections ? mem::kPageSize : 8);
-  }
 
   auto materialize = [&](const PendingDef& def) -> std::uint64_t {
     if (def.section == vm::SectionKind::kData) {

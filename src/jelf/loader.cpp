@@ -37,11 +37,14 @@ Status ValidateImageLayout(const LinkedImage& image) {
         static_cast<unsigned long long>(image.data_offset)));
   }
   if (image.total_size < image.data_offset ||
-      image.total_size - image.data_offset < image.data.size()) {
+      image.total_size - image.data_offset < image.data.size() ||
+      image.total_size - image.data_offset - image.data.size() <
+          image.data_zero_fill) {
     return InvalidArgument(StrFormat(
-        "image '%s': data (%llu B at %llu) exceeds total_size %llu",
+        "image '%s': data (%llu+%llu B at %llu) exceeds total_size %llu",
         image.name.c_str(),
         static_cast<unsigned long long>(image.data.size()),
+        static_cast<unsigned long long>(image.data_zero_fill),
         static_cast<unsigned long long>(image.data_offset),
         static_cast<unsigned long long>(image.total_size)));
   }
@@ -137,6 +140,8 @@ StatusOr<LoadedLibrary> LoadLibrary(mem::HostMemory& memory,
   if (!image.data.empty()) {
     TC_RETURN_IF_ERROR(memory.Write(base + image.data_offset, image.data));
   }
+  TC_RETURN_IF_ERROR(memory.Zero(base + image.data_offset + image.data.size(),
+                                 image.data_zero_fill));
 
   LoadedLibrary lib;
   lib.name = image.name;

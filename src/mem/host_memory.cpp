@@ -1,7 +1,11 @@
 #include "mem/host_memory.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "common/bitops.hpp"
 #include "common/strfmt.hpp"
@@ -23,8 +27,14 @@ HostMemory::HostMemory(int host_id, std::uint64_t size, std::uint32_t domains)
   // boundaries always fall on page boundaries for any @p domains.
   const std::uint32_t n = std::max<std::uint32_t>(domains, 1);
   domain_span_ = AlignUp(CeilDiv(size, n), kPageSize);
-  arena_.resize(domain_span_ * n);
-  page_perms_.assign(arena_.size() / kPageSize, Perm::kNone);
+  size_ = domain_span_ * n;
+  if (size_ > 0) {
+    void* p = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    arena_ = static_cast<std::uint8_t*>(p);
+  }
+  page_perms_.assign(size_ / kPageSize, Perm::kNone);
   domains_.resize(n);
   for (std::uint32_t d = 0; d < n; ++d) {
     domains_[d].bump = base_ + static_cast<std::uint64_t>(d) * domain_span_;
@@ -32,10 +42,14 @@ HostMemory::HostMemory(int host_id, std::uint64_t size, std::uint32_t domains)
   }
 }
 
+HostMemory::~HostMemory() {
+  if (arena_ != nullptr) munmap(arena_, size_);
+}
+
 bool HostMemory::Contains(VirtAddr addr, std::uint64_t size) const noexcept {
   if (addr < base_) return false;
   const std::uint64_t off = addr - base_;
-  return off <= arena_.size() && size <= arena_.size() - off;
+  return off <= size_ && size <= size_ - off;
 }
 
 VirtAddr HostMemory::CarveFrom(Domain& domain, std::uint64_t page_span,
@@ -170,13 +184,38 @@ Status HostMemory::CheckPerms(VirtAddr addr, std::uint64_t size,
 
 Status HostMemory::Read(VirtAddr addr, std::span<std::uint8_t> out) const {
   TC_RETURN_IF_ERROR(CheckPerms(addr, out.size(), Perm::kRead));
-  std::memcpy(out.data(), arena_.data() + OffsetOf(addr), out.size());
+  std::memcpy(out.data(), arena_ + OffsetOf(addr), out.size());
   return Status::Ok();
 }
 
 Status HostMemory::Write(VirtAddr addr, std::span<const std::uint8_t> data) {
   TC_RETURN_IF_ERROR(CheckPerms(addr, data.size(), Perm::kWrite));
-  std::memcpy(arena_.data() + OffsetOf(addr), data.data(), data.size());
+  std::memcpy(arena_ + OffsetOf(addr), data.data(), data.size());
+  return Status::Ok();
+}
+
+Status HostMemory::Zero(VirtAddr addr, std::uint64_t size) {
+  TC_RETURN_IF_ERROR(CheckPerms(addr, size, Perm::kWrite));
+  if (size == 0) return Status::Ok();
+  std::uint8_t* const begin = arena_ + OffsetOf(addr);
+  std::uint8_t* const end = begin + size;
+  // The mapping is host-page aligned, so whole host pages inside the range
+  // can be dropped: a private anonymous page reads back as zero after
+  // MADV_DONTNEED. The partial pages at either end are written.
+  const auto host_page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  auto* const first = reinterpret_cast<std::uint8_t*>(
+      AlignUp(reinterpret_cast<std::uintptr_t>(begin), host_page));
+  auto* const last = reinterpret_cast<std::uint8_t*>(
+      AlignDown(reinterpret_cast<std::uintptr_t>(end), host_page));
+  if (first >= last) {
+    std::memset(begin, 0, size);
+    return Status::Ok();
+  }
+  std::memset(begin, 0, first - begin);
+  if (madvise(first, last - first, MADV_DONTNEED) != 0) {
+    std::memset(first, 0, last - first);
+  }
+  std::memset(last, 0, end - last);
   return Status::Ok();
 }
 
@@ -224,7 +263,7 @@ Status HostMemory::StoreU64(VirtAddr a, std::uint64_t v) {
 
 Status HostMemory::DmaRead(VirtAddr addr, std::span<std::uint8_t> out) const {
   if (!Contains(addr, out.size())) return OutOfRange("DMA read outside arena");
-  std::memcpy(out.data(), arena_.data() + OffsetOf(addr), out.size());
+  std::memcpy(out.data(), arena_ + OffsetOf(addr), out.size());
   return Status::Ok();
 }
 
@@ -232,20 +271,20 @@ Status HostMemory::DmaWrite(VirtAddr addr, std::span<const std::uint8_t> data) {
   if (!Contains(addr, data.size())) {
     return OutOfRange("DMA write outside arena");
   }
-  std::memcpy(arena_.data() + OffsetOf(addr), data.data(), data.size());
+  std::memcpy(arena_ + OffsetOf(addr), data.data(), data.size());
   return Status::Ok();
 }
 
 StatusOr<std::span<std::uint8_t>> HostMemory::RawSpan(VirtAddr addr,
                                                       std::uint64_t size) {
   if (!Contains(addr, size)) return OutOfRange("raw span outside arena");
-  return std::span<std::uint8_t>(arena_.data() + OffsetOf(addr), size);
+  return std::span<std::uint8_t>(arena_ + OffsetOf(addr), size);
 }
 
 StatusOr<std::span<const std::uint8_t>> HostMemory::RawSpan(
     VirtAddr addr, std::uint64_t size) const {
   if (!Contains(addr, size)) return OutOfRange("raw span outside arena");
-  return std::span<const std::uint8_t>(arena_.data() + OffsetOf(addr), size);
+  return std::span<const std::uint8_t>(arena_ + OffsetOf(addr), size);
 }
 
 }  // namespace twochains::mem

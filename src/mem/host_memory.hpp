@@ -1,6 +1,11 @@
 // Simulated per-host memory: a byte arena with page-granular permissions,
 // a first-fit allocator, and bounds/permission-checked access paths.
 //
+// The arena is a private anonymous mapping reserved without swap backing:
+// the kernel hands out zero pages on first touch, so a host costs resident
+// memory only for the bytes it actually writes, not for its configured
+// size.
+//
 // The arena is split into one sub-arena per memory domain (NUMA node):
 // domain d owns the contiguous slice [base + d*span, base + (d+1)*span).
 // Allocate takes a domain hint and spills to the neighbouring domains (in
@@ -42,7 +47,9 @@ class HostMemory {
   /// Creates the arena for @p host_id with @p size bytes (rounded up so
   /// every domain slice is a whole number of pages) based at
   /// HostBase(host_id), split into @p domains equal sub-arenas.
+  /// Throws std::bad_alloc when the reservation cannot be mapped.
   HostMemory(int host_id, std::uint64_t size, std::uint32_t domains = 1);
+  ~HostMemory();
 
   HostMemory(const HostMemory&) = delete;
   HostMemory& operator=(const HostMemory&) = delete;
@@ -51,7 +58,7 @@ class HostMemory {
   /// First virtual address of the arena (HostBase(host_id)).
   VirtAddr base() const noexcept { return base_; }
   /// Total arena bytes (possibly rounded up from the constructor size).
-  std::uint64_t size() const noexcept { return arena_.size(); }
+  std::uint64_t size() const noexcept { return size_; }
   /// Number of memory domains (NUMA nodes) the arena is split into.
   std::uint32_t domains() const noexcept {
     return static_cast<std::uint32_t>(domains_.size());
@@ -99,6 +106,10 @@ class HostMemory {
   Status Read(VirtAddr addr, std::span<std::uint8_t> out) const;
   /// Bulk write of @p data; every touched page must be writable.
   Status Write(VirtAddr addr, std::span<const std::uint8_t> data);
+  /// Zero-fills [addr, addr+size); every touched page must be writable.
+  /// Whole pages go back to the kernel instead of being written, so
+  /// zeroing a large untouched range costs no resident memory.
+  Status Zero(VirtAddr addr, std::uint64_t size);
 
   /// Little-endian scalar loads (readable page required).
   StatusOr<std::uint8_t> LoadU8(VirtAddr addr) const;
@@ -155,7 +166,8 @@ class HostMemory {
 
   int host_id_;
   VirtAddr base_;
-  std::vector<std::uint8_t> arena_;
+  std::uint8_t* arena_ = nullptr;            // mmap'd, size_ bytes
+  std::uint64_t size_ = 0;
   std::vector<Perm> page_perms_;             // one entry per page
   std::map<VirtAddr, Allocation> allocs_;    // live allocations by start VA
   std::vector<Domain> domains_;              // per-domain allocator state

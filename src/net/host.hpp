@@ -20,9 +20,11 @@ struct HostConfig {
   /// Identity of this host; also seeds the arena's virtual base so two
   /// hosts' address spaces never alias.
   int host_id = 0;
-  /// Arena size. With NUMA domains the arena splits evenly, so every
-  /// *domain slice* (memory_bytes / domains) must still fit the largest
-  /// single allocation (e.g. a loaded library).
+  /// Arena size. The arena is a lazily zeroed reservation: pages the
+  /// host never touches cost no resident memory, so this bounds what the
+  /// host may allocate rather than what it costs. With NUMA domains the
+  /// arena splits evenly, so every *domain slice* (memory_bytes / domains)
+  /// must still fit the largest single allocation (e.g. a loaded library).
   std::uint64_t memory_bytes = MiB(256);
   /// Cache/core geometry, including the domain (NUMA) split — the
   /// single source of truth for how many cpu::CpuCore the host builds.

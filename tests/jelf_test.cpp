@@ -3,10 +3,12 @@
 // library hot-swap rebinding — the remote-linking machinery of §III.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "cache/hierarchy.hpp"
+#include "common/bitops.hpp"
 #include "common/units.hpp"
 #include "jamvm/assembler.hpp"
 #include "jamvm/interpreter.hpp"
@@ -169,6 +171,43 @@ TEST(LinkerTest, CompactLayoutForJams) {
   EXPECT_LE(image.rodata_offset, image.text.size() + 16);
 }
 
+TEST(LinkerTest, DataKeepsOnlyItsInitializedPrefix) {
+  // Zeros between objects' data stay; the zeros after the last nonzero
+  // byte move to data_zero_fill, like an ELF segment's memsz - filesz.
+  const LinkedImage image = MustLink({MustAssemble(R"(
+    .data
+    .global a
+    a: .quad 5
+    .space 8192
+    .text
+    .global f
+    f:
+      ret
+  )", "a.s"), MustAssemble(R"(
+    .data
+    .space 4096
+    .global b
+    b: .quad 9
+    .space 10000
+  )", "b.s")});
+  // b's little-endian 9 is its only nonzero byte.
+  const std::uint64_t b_offset = 8 + 8192 + 4096;
+  ASSERT_EQ(image.data.size(), b_offset + 1);
+  EXPECT_EQ(image.data_zero_fill, 7u + 10000u);
+  EXPECT_EQ(image.data[0], 5);
+  EXPECT_EQ(image.data[b_offset], 9);
+  EXPECT_EQ(image.exports.at("b").offset, image.data_offset + b_offset);
+  EXPECT_EQ(image.total_size,
+            AlignUp(image.data_offset + b_offset + 8 + 10000,
+                    mem::kPageSize));
+  EXPECT_TRUE(ValidateImageLayout(image).ok());
+
+  auto parsed = ParseImage(SerializeImage(image));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->data, image.data);
+  EXPECT_EQ(parsed->data_zero_fill, image.data_zero_fill);
+}
+
 TEST(LinkerTest, EmptyLinkRejected) {
   EXPECT_EQ(Link({}, {}).status().code(), StatusCode::kInvalidArgument);
 }
@@ -237,6 +276,21 @@ TEST(LayoutValidationTest, DataExceedingTotalSizeRejected) {
   // And the wrap bait: total_size below data_offset must not underflow the
   // subtraction into a huge "remaining" budget.
   image.total_size = image.data_offset - 1;
+  EXPECT_EQ(ValidateImageLayout(image).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(LayoutValidationTest, ZeroFillExceedingTotalSizeRejected) {
+  LinkedImage image = LayoutFixture();
+  const std::uint64_t room =
+      image.total_size - image.data_offset - image.data.size();
+  image.data_zero_fill = room;
+  EXPECT_TRUE(ValidateImageLayout(image).ok());
+  image.data_zero_fill = room + 1;
+  const Status status = ValidateImageLayout(image);
+  ASSERT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("exceeds total_size"), std::string::npos);
+  // A hostile fill must not wrap the bound.
+  image.data_zero_fill = ~std::uint64_t{0};
   EXPECT_EQ(ValidateImageLayout(image).code(), StatusCode::kInvalidArgument);
 }
 
@@ -584,6 +638,73 @@ TEST_F(LoaderTest, NativeSymbolsBindThroughNamespace) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const auto h = RunFunction(loaded->exports.at("hash_it"), {42}, &natives);
   EXPECT_NE(h, 42u);  // mixed
+}
+
+/// Loads @p image over pages a freed allocation left dirty and returns
+/// the image's bytes as the host sees them.
+std::vector<std::uint8_t> LoadOverDirtyPages(const LinkedImage& image,
+                                             LoadedLibrary* out) {
+  mem::HostMemory memory(0, MiB(4));
+  auto dirty = memory.Allocate(image.total_size, mem::kPageSize,
+                               mem::Perm::kRW, "dirty");
+  if (!dirty.ok()) {
+    ADD_FAILURE() << dirty.status();
+    return {};
+  }
+  const std::vector<std::uint8_t> junk(image.total_size, 0xA5);
+  EXPECT_TRUE(memory.Write(*dirty, junk).ok());
+  EXPECT_TRUE(memory.Free(*dirty).ok());
+  HostNamespace ns;
+  auto lib = LoadLibrary(memory, image, ns);
+  if (!lib.ok()) {
+    ADD_FAILURE() << lib.status();
+    return {};
+  }
+  EXPECT_EQ(lib->base, *dirty);  // the library reuses the dirty pages
+  std::vector<std::uint8_t> bytes(image.total_size);
+  EXPECT_TRUE(memory.DmaRead(lib->base, bytes).ok());
+  *out = *lib;
+  return bytes;
+}
+
+TEST(LoaderZeroFillTest, ZeroTailLoadsLikeAFullWrite) {
+  // A nonzero head, a multi-page zero tail, and an absolute pointer whose
+  // placeholder bytes sit in that tail (the fixup lands after the fill).
+  const LinkedImage sparse = MustLink({MustAssemble(R"(
+    .data
+    .global head
+    head: .quad 0x1122334455667788
+    .space 20000
+    .global ptr
+    ptr: .quad head
+    .text
+    .global f
+    f:
+      ret
+  )")});
+  ASSERT_EQ(sparse.data.size(), 8u);
+  ASSERT_GT(sparse.data_zero_fill, 2 * mem::kPageSize);
+  LinkedImage full = sparse;
+  full.data.resize(full.data.size() + full.data_zero_fill, 0);
+  full.data_zero_fill = 0;
+
+  LoadedLibrary lib;
+  LoadedLibrary full_lib;
+  const auto got = LoadOverDirtyPages(sparse, &lib);
+  const auto want = LoadOverDirtyPages(full, &full_lib);
+  ASSERT_EQ(got.size(), sparse.total_size);
+  EXPECT_EQ(got, want);
+
+  const std::uint64_t data = sparse.data_offset;
+  std::uint64_t head = 0;
+  std::memcpy(&head, got.data() + data, sizeof(head));
+  EXPECT_EQ(head, 0x1122334455667788u);
+  for (std::uint64_t i = data + 8; i < data + 8 + 20000; ++i) {
+    ASSERT_EQ(got[i], 0) << "offset " << i;
+  }
+  std::uint64_t ptr = 0;
+  std::memcpy(&ptr, got.data() + data + 8 + 20000, sizeof(ptr));
+  EXPECT_EQ(ptr, lib.exports.at("head"));
 }
 
 TEST(NamespaceTest, DefineLookupRemove) {

@@ -1,11 +1,17 @@
 // Unit tests for simulated host memory: allocation, permissions, CPU vs DMA
 // access planes, and the RDMA region/rkey registry.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <vector>
 
+#include "benchlib/testbed_defaults.hpp"
+#include "benchlib/workloads.hpp"
 #include "common/units.hpp"
+#include "core/fabric.hpp"
 #include "mem/address.hpp"
 #include "mem/host_memory.hpp"
 #include "mem/region.hpp"
@@ -182,6 +188,143 @@ TEST_F(HostMemoryTest, RawSpanViewsArena) {
   auto span = mem_.RawSpan(*a, 8);
   ASSERT_TRUE(span.ok());
   EXPECT_EQ((*span)[0], 0x5A);
+}
+
+// ------------------------------------------------------------ lazy arena
+
+class LazyArenaTest : public ::testing::Test {
+ protected:
+  /// Fills [addr, addr+size) with @p byte through the CPU plane.
+  void Fill(VirtAddr addr, std::uint64_t size, std::uint8_t byte) {
+    const std::vector<std::uint8_t> bytes(size, byte);
+    ASSERT_TRUE(mem_.Write(addr, bytes).ok());
+  }
+
+  /// Asserts [addr, addr+size) reads @p byte everywhere.
+  void ExpectAll(VirtAddr addr, std::uint64_t size, std::uint8_t byte) {
+    std::vector<std::uint8_t> bytes(size);
+    ASSERT_TRUE(mem_.DmaRead(addr, bytes).ok());
+    for (std::uint64_t i = 0; i < size; ++i) {
+      ASSERT_EQ(bytes[i], byte) << "offset " << i;
+    }
+  }
+
+  HostMemory mem_{0, MiB(4)};
+};
+
+TEST_F(LazyArenaTest, FreshPagesReadZero) {
+  auto a = mem_.Allocate(4 * kPageSize, kPageSize, Perm::kRW, "fresh");
+  ASSERT_TRUE(a.ok());
+  ExpectAll(*a, 4 * kPageSize, 0);
+}
+
+TEST_F(LazyArenaTest, ZeroSubPageRange) {
+  auto a = mem_.Allocate(kPageSize, kPageSize, Perm::kRW, "sub");
+  ASSERT_TRUE(a.ok());
+  Fill(*a, kPageSize, 0xAB);
+  ASSERT_TRUE(mem_.Zero(*a + 100, 200).ok());
+  ExpectAll(*a, 100, 0xAB);
+  ExpectAll(*a + 100, 200, 0);
+  ExpectAll(*a + 300, kPageSize - 300, 0xAB);
+}
+
+TEST_F(LazyArenaTest, ZeroPartialHeadAndTailPages) {
+  // Head: the last 4096-100 bytes of page 0; whole pages 1 and 2; tail:
+  // the first 100 bytes of page 3.
+  auto a = mem_.Allocate(5 * kPageSize, kPageSize, Perm::kRW, "span");
+  ASSERT_TRUE(a.ok());
+  Fill(*a, 5 * kPageSize, 0xCD);
+  ASSERT_TRUE(mem_.Zero(*a + 100, 3 * kPageSize).ok());
+  ExpectAll(*a, 100, 0xCD);
+  ExpectAll(*a + 100, 3 * kPageSize, 0);
+  ExpectAll(*a + 100 + 3 * kPageSize, 2 * kPageSize - 100, 0xCD);
+}
+
+TEST_F(LazyArenaTest, ZeroWholePagesOfAReusedAllocation) {
+  auto a = mem_.Allocate(8 * kPageSize, kPageSize, Perm::kRW, "first");
+  ASSERT_TRUE(a.ok());
+  Fill(*a, 8 * kPageSize, 0xEE);
+  ASSERT_TRUE(mem_.Free(*a).ok());
+  // Free does not scrub: the reallocation lands on the same dirty pages.
+  auto b = mem_.Allocate(8 * kPageSize, kPageSize, Perm::kRW, "second");
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(*b, *a);
+  ExpectAll(*b, 8 * kPageSize, 0xEE);
+  ASSERT_TRUE(mem_.Zero(*b, 8 * kPageSize).ok());
+  ExpectAll(*b, 8 * kPageSize, 0);
+  // The dropped pages fault back in as ordinary writable memory.
+  ASSERT_TRUE(mem_.StoreU64(*b + 3 * kPageSize, 0x1122334455667788).ok());
+  EXPECT_EQ(mem_.LoadU64(*b + 3 * kPageSize).value(), 0x1122334455667788u);
+}
+
+TEST_F(LazyArenaTest, ZeroChecksPermissionsAndBounds) {
+  auto a = mem_.Allocate(2 * kPageSize, kPageSize, Perm::kRW, "mixed");
+  ASSERT_TRUE(a.ok());
+  Fill(*a, 2 * kPageSize, 0x77);
+  ASSERT_TRUE(mem_.Protect(*a + kPageSize, kPageSize, Perm::kRead).ok());
+  EXPECT_EQ(mem_.Zero(*a + kPageSize, 8).code(),
+            StatusCode::kPermissionDenied);
+  // A range that only ends on the read-only page is refused whole.
+  EXPECT_EQ(mem_.Zero(*a, 2 * kPageSize).code(),
+            StatusCode::kPermissionDenied);
+  ExpectAll(*a, 2 * kPageSize, 0x77);
+  EXPECT_EQ(mem_.Zero(mem_.base() + mem_.size() - 8, 16).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(mem_.Zero(mem_.base() - kPageSize, 8).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(mem_.Zero(*a, 0).ok());
+}
+
+TEST(LazyArenaEdgeTest, ZeroSizeArena) {
+  HostMemory empty(0, 0);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.Contains(empty.base(), 0));
+  EXPECT_FALSE(empty.Contains(empty.base(), 1));
+  EXPECT_EQ(empty.Allocate(1, 1, Perm::kRW, "none").status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(empty.Zero(empty.base(), 1).code(), StatusCode::kOutOfRange);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TC_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TC_TEST_SANITIZED 1
+#endif
+#endif
+
+/// Resident set size of this process, from /proc/self/statm.
+[[maybe_unused]] std::uint64_t ResidentBytes() {
+  unsigned long long size = 0, resident = 0;
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  const int n = std::fscanf(f, "%llu %llu", &size, &resident);
+  std::fclose(f);
+  if (n != 2) return 0;
+  return resident * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// The laziness guard: nine 512 MiB hosts (4.5 GiB configured), built
+/// and loaded with the bench package, whose library carries a 16 MiB
+/// zero-initialised heap, must stay far below their configured size.
+TEST(LazyArenaFabricTest, NineHostFabricCostsWhatItTouches) {
+#ifdef TC_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes distort resident-set accounting";
+#else
+  auto package = bench::BuildBenchPackage();
+  ASSERT_TRUE(package.ok()) << package.status();
+  const std::uint64_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  core::Fabric fabric(bench::PaperFabric(9, core::Topology::kStar));
+  ASSERT_EQ(fabric.host(0).config().memory_bytes, MiB(512));
+  const std::uint64_t built = ResidentBytes();
+  ASSERT_TRUE(fabric.LoadPackage(*package).ok());
+  const std::uint64_t loaded = ResidentBytes();
+  EXPECT_LT(loaded - before, MiB(256));
+  // Nine loads of the heap's library cost less than one heap: the loader
+  // zero-fills .data's tail instead of copying it.
+  EXPECT_LT(loaded - built, MiB(16));
+#endif
 }
 
 // ---------------------------------------------------------------- domains
