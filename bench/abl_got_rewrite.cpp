@@ -26,9 +26,7 @@ struct RelinkSample {
   std::uint64_t misses = 0;
 };
 
-RelinkSample MeasureRelink(core::Testbed& testbed,
-                           const core::JamCacheConfig& cache,
-                           const std::string& jam) {
+RelinkSample MeasureRelink(core::Testbed& testbed, const std::string& jam) {
   core::Runtime& sender = testbed.runtime(0);
   core::Runtime& receiver = testbed.runtime(1);
   const std::vector<std::uint64_t> args = {0};
@@ -54,7 +52,7 @@ RelinkSample MeasureRelink(core::Testbed& testbed,
 
   sample.hits = after.hits - before.hits;
   sample.misses = after.misses - before.misses;
-  sample.cached_cycles = static_cast<double>(cache.hit_relink_cycles);
+  sample.cached_cycles = static_cast<double>(core::kJamHitRelinkCycles);
   // Every hit banks (cold - cached) link cycles into link_cycles_saved;
   // divide back out to recover the measured cold per-invoke cost.
   if (sample.hits > 0) {
@@ -122,8 +120,8 @@ int main() {
   bool frames_slim = true;
   for (const auto& elem : package.elements) {
     if (elem.kind != pkg::ElementKind::kJam) continue;
-    const RelinkSample base = MeasureRelink(*base_bed, cache, elem.name);
-    const RelinkSample hard = MeasureRelink(*hard_bed, cache, elem.name);
+    const RelinkSample base = MeasureRelink(*base_bed, elem.name);
+    const RelinkSample hard = MeasureRelink(*hard_bed, elem.name);
     warm_misses += base.misses + hard.misses;
     frames_slim &= base.hot_frame < base.full_frame;
     const double hard_ratio = hard.cold_cycles / hard.cached_cycles;

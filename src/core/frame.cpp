@@ -82,6 +82,40 @@ StatusOr<FrameHeader> ReadHeader(std::span<const std::uint8_t> bytes,
   return header;
 }
 
+namespace {
+
+/// The one frame writer: a zeroed frame of @p layout's length carrying the
+/// sections every shape shares — HDR (sizes and shape flag filled in from
+/// @p spec), ARGS, USR and SIG. Callers add the shape-specific middle
+/// (GOTP/CODE or the content handle).
+StatusOr<std::vector<std::uint8_t>> WriteFrame(
+    const FrameSpec& spec, const FrameLayout& layout, FrameHeader header,
+    std::span<const std::uint8_t> args, std::span<const std::uint8_t> usr) {
+  if (args.size() != spec.args_size || usr.size() != spec.usr_size) {
+    return InvalidArgument("payload size mismatch");
+  }
+  std::vector<std::uint8_t> frame(layout.frame_len, 0);
+  header.frame_len = static_cast<std::uint32_t>(layout.frame_len);
+  header.args_size = static_cast<std::uint32_t>(spec.args_size);
+  header.usr_size = static_cast<std::uint32_t>(spec.usr_size);
+  header.flags = static_cast<std::uint16_t>(
+      header.flags | (spec.by_handle  ? kFlagByHandle
+                      : spec.injected ? kFlagInjected
+                                      : 0));
+  WriteHeader(header, frame);
+  if (!args.empty()) {
+    std::memcpy(frame.data() + layout.args_off, args.data(), args.size());
+  }
+  if (!usr.empty()) {
+    std::memcpy(frame.data() + layout.usr_off, usr.data(), usr.size());
+  }
+  const std::uint64_t sig = SignalWord(header.sn);
+  std::memcpy(frame.data() + layout.sig_off, &sig, 8);
+  return frame;
+}
+
+}  // namespace
+
 StatusOr<std::vector<std::uint8_t>> PackFrame(
     const FrameSpec& spec, FrameHeader header,
     std::span<const std::uint64_t> gotp_values,
@@ -100,37 +134,16 @@ StatusOr<std::vector<std::uint8_t>> PackFrame(
   } else if (!gotp_values.empty() || !code.empty()) {
     return InvalidArgument("local frame cannot carry GOTP/code");
   }
-  if (args.size() != spec.args_size || usr.size() != spec.usr_size) {
-    return InvalidArgument("payload size mismatch");
-  }
-
   const FrameLayout layout = FrameLayout::Compute(spec);
-  std::vector<std::uint8_t> frame(layout.frame_len, 0);
-
-  header.frame_len = static_cast<std::uint32_t>(layout.frame_len);
-  header.args_size = static_cast<std::uint32_t>(spec.args_size);
-  header.usr_size = static_cast<std::uint32_t>(spec.usr_size);
-  header.flags = static_cast<std::uint16_t>(
-      header.flags | (spec.injected ? kFlagInjected : 0));
-  WriteHeader(header, frame);
-
-  if (spec.injected) {
-    if (!gotp_values.empty()) {
-      std::memcpy(frame.data() + layout.gotp_off, gotp_values.data(),
-                  8 * gotp_values.size());
-    }
-    if (!code.empty()) {
-      std::memcpy(frame.data() + layout.code_off, code.data(), code.size());
-    }
+  TC_ASSIGN_OR_RETURN(std::vector<std::uint8_t> frame,
+                      WriteFrame(spec, layout, header, args, usr));
+  if (!gotp_values.empty()) {
+    std::memcpy(frame.data() + layout.gotp_off, gotp_values.data(),
+                8 * gotp_values.size());
   }
-  if (!args.empty()) {
-    std::memcpy(frame.data() + layout.args_off, args.data(), args.size());
+  if (!code.empty()) {
+    std::memcpy(frame.data() + layout.code_off, code.data(), code.size());
   }
-  if (!usr.empty()) {
-    std::memcpy(frame.data() + layout.usr_off, usr.data(), usr.size());
-  }
-  const std::uint64_t sig = SignalWord(header.sn);
-  std::memcpy(frame.data() + layout.sig_off, &sig, 8);
   return frame;
 }
 
@@ -140,28 +153,10 @@ StatusOr<std::vector<std::uint8_t>> PackHandleFrame(
   if (!spec.by_handle) {
     return InvalidArgument("PackHandleFrame requires spec.by_handle");
   }
-  if (args.size() != spec.args_size || usr.size() != spec.usr_size) {
-    return InvalidArgument("payload size mismatch");
-  }
-
   const FrameLayout layout = FrameLayout::Compute(spec);
-  std::vector<std::uint8_t> frame(layout.frame_len, 0);
-
-  header.frame_len = static_cast<std::uint32_t>(layout.frame_len);
-  header.args_size = static_cast<std::uint32_t>(spec.args_size);
-  header.usr_size = static_cast<std::uint32_t>(spec.usr_size);
-  header.flags = static_cast<std::uint16_t>(header.flags | kFlagByHandle);
-  WriteHeader(header, frame);
-
+  TC_ASSIGN_OR_RETURN(std::vector<std::uint8_t> frame,
+                      WriteFrame(spec, layout, header, args, usr));
   std::memcpy(frame.data() + layout.handle_off, &handle, 8);
-  if (!args.empty()) {
-    std::memcpy(frame.data() + layout.args_off, args.data(), args.size());
-  }
-  if (!usr.empty()) {
-    std::memcpy(frame.data() + layout.usr_off, usr.data(), usr.size());
-  }
-  const std::uint64_t sig = SignalWord(header.sn);
-  std::memcpy(frame.data() + layout.sig_off, &sig, 8);
   return frame;
 }
 

@@ -11,6 +11,15 @@ namespace twochains::core {
 
 namespace {
 
+// Bookkeeping costs of the model (cycles). Constants, not options: every
+// workload runs them at these values (docs/TUNING.md lists them).
+constexpr Cycles kValidateCycles = 30;   // header + signal check per frame
+constexpr Cycles kDispatchCycles = 40;   // Local invoke via the element vector
+constexpr Cycles kPackBaseCycles = 40;   // fixed pack cost per send
+constexpr Cycles kGotLookupCycles = 18;  // per GOTP slot packed / installed
+constexpr Cycles kMprotectCycles = 700;  // per permission flip (split pages)
+constexpr Cycles kJamInstallCycles = 60; // jam-cache install bookkeeping
+
 /// Builds the contiguous injectable blob (text .. rodata, padded) from a
 /// jam image — the CODE section of an Injected Function frame.
 std::vector<std::uint8_t> CodeBlobOf(const jelf::LinkedImage& image) {
@@ -311,10 +320,6 @@ StatusOr<std::pair<PeerId, PeerId>> Runtime::Connect(Runtime& a, Runtime& b) {
   return std::make_pair(id_of_b, id_of_a);
 }
 
-Status Runtime::Wire(Runtime& a, Runtime& b) {
-  return Connect(a, b).status();
-}
-
 PeerId Runtime::PeerIdOf(const Runtime& other) const noexcept {
   for (PeerId i = 0; i < peers_.size(); ++i) {
     if (peers_[i].runtime == &other) return i;
@@ -468,16 +473,23 @@ StatusOr<FrameLayout> Runtime::LayoutFor(const std::string& name, Invoke mode,
                                          std::uint64_t args_bytes,
                                          std::uint64_t usr_bytes) const {
   TC_ASSIGN_OR_RETURN(const ElementInfo* elem, FindElement(name));
+  return FrameLayout::Compute(
+      SpecFor(*elem, mode == Invoke::kInjected, args_bytes, usr_bytes));
+}
+
+FrameSpec Runtime::SpecFor(const ElementInfo& elem, bool injected,
+                           std::uint64_t args_bytes,
+                           std::uint64_t usr_bytes) const {
   FrameSpec spec;
-  spec.injected = mode == Invoke::kInjected;
+  spec.injected = injected;
   spec.args_size = args_bytes;
   spec.usr_size = usr_bytes;
   spec.split_code_data = config_.security.split_code_data_pages;
-  if (spec.injected) {
-    spec.got_slots = elem->injected_image.got_slot_count();
-    spec.code_size = elem->code_blob.size();
+  if (injected) {
+    spec.got_slots = elem.injected_image.got_slot_count();
+    spec.code_size = elem.code_blob.size();
   }
-  return FrameLayout::Compute(spec);
+  return spec;
 }
 
 std::uint32_t Runtime::DomainOfPoolCore(
@@ -563,31 +575,27 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   const std::uint32_t slot = bank * config_.mailboxes_per_bank + in_bank;
 
   // ---- build the frame ------------------------------------------------
-  FrameSpec spec;
-  spec.injected = mode == Invoke::kInjected;
-  spec.args_size = args.size() * 8;
-  spec.usr_size = usr.size();
-  spec.split_code_data = config_.security.split_code_data_pages;
-
   // Invoke-by-handle downgrade of the frame shape: when the jam cache is
   // on and this sender believes the peer already holds the jam's image,
   // GOTP/CODE stay home and an 8-byte content handle rides instead. The
   // belief can be stale (eviction, re-sync on the far side) — the
   // receiver then NAKs the slot in the bank flag and OnBankFlag resends
   // full-body, so a wrong guess costs one round trip, never an error.
-  const bool by_handle = spec.injected && config_.jam_cache.enabled &&
+  const bool by_handle = mode == Invoke::kInjected &&
+                         config_.jam_cache.enabled &&
                          (extra_flags & kFlagNoExecute) == 0 &&
                          peer.peer_handles.contains(elem->content_handle);
+  // A by-handle spec keeps got_slots == 0: the pack cost below charges
+  // per GOTP slot, and none is packed.
+  FrameSpec spec = SpecFor(*elem, mode == Invoke::kInjected && !by_handle,
+                           args.size() * 8, usr.size());
 
   std::vector<std::uint64_t> gotp;
   std::span<const std::uint8_t> code;
   if (by_handle) {
-    spec.injected = false;
     spec.by_handle = true;
     spec.split_code_data = false;  // no code rides along — nothing to split
   } else if (spec.injected) {
-    spec.got_slots = elem->injected_image.got_slot_count();
-    spec.code_size = elem->code_blob.size();
     code = elem->code_blob;
     gotp.reserve(spec.got_slots);
     for (const auto& symbol : elem->injected_image.got_symbols) {
@@ -654,8 +662,7 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   // application produced it in place, exactly as a UCX perftest payload
   // sits pre-staged in the send buffer — so it is not charged per byte.
   Cycles pack_cycles =
-      config_.pack_base_cycles +
-      static_cast<Cycles>(spec.got_slots) * config_.got_lookup_cycles;
+      kPackBaseCycles + static_cast<Cycles>(spec.got_slots) * kGotLookupCycles;
   pack_cycles += host_.caches().Access(config_.sender_core, staging,
                                        layout.args_off == 0 ? kHeaderBytes
                                                             : layout.args_off,
@@ -1047,54 +1054,29 @@ const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
   if (victim_backlog < trigger) victim = kInvalidPoolIndex;
   if (local_backlog < trigger) local_victim = kInvalidPoolIndex;
 
-  // Oldest ready bank head among a victim's claimed banks. A bank with
-  // a frame mid-process cannot be stolen (the handoff would double-begin
-  // its head), and a bank whose head has not arrived yet has nothing to
-  // process in order.
-  const ReadyFrame* best = nullptr;
-  PeerId best_peer = kInvalidPeer;
-  std::uint32_t best_bank = 0;
-  const auto scan_victim = [&](std::uint32_t v) {
-    best = nullptr;
-    for (PeerId peer = 0; peer < peers_.size(); ++peer) {
-      PeerState& p = peers_[peer];
-      for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
-        if (ClaimOf(peer, bank) != v) continue;
-        if (p.bank_in_flight[bank] != 0) continue;
-        const std::uint32_t head =
-            bank * config_.mailboxes_per_bank + p.bank_cursor[bank];
-        const auto it = p.ready.find(head);
-        if (it == p.ready.end()) continue;
-        if (best == nullptr || it->second.delivered_at < best->delivered_at) {
-          best = &it->second;
-          best_peer = peer;
-          best_bank = bank;
-        }
-      }
-    }
-    return best != nullptr;
-  };
-
-  // Same-domain victim first (when the policy is on and it clears the
-  // trigger), but never at the price of idling: if its backlog turns out
-  // unstealable — every triggering bank mid-frame, the structurally
-  // unstealable 1-hot-bank shape — fall through to the global pick
-  // rather than returning empty while a remote victim has ready banks.
-  std::uint32_t chosen = kInvalidPoolIndex;
+  // The stolen frame is the oldest ready bank head among a victim's
+  // claimed banks (ScanBankHeads: a bank mid-frame cannot be stolen — the
+  // handoff would double-begin its head). Same-domain victim first (when
+  // the policy is on and it clears the trigger), but never at the price
+  // of idling: if its backlog turns out unstealable — every triggering
+  // bank mid-frame, the structurally unstealable 1-hot-bank shape — fall
+  // through to the global pick rather than returning empty while a
+  // remote victim has ready banks.
   const bool try_local =
       config_.steal.domain_aware && local_victim != kInvalidPoolIndex;
-  if (try_local && scan_victim(local_victim)) {
-    chosen = local_victim;
-  } else if (victim != kInvalidPoolIndex &&
-             !(try_local && victim == local_victim) &&  // already scanned
-             scan_victim(victim)) {
-    chosen = victim;
+  std::uint32_t stolen_from = try_local ? local_victim : kInvalidPoolIndex;
+  const ReadyFrame* best = try_local ? ScanBankHeads(local_victim) : nullptr;
+  if (best == nullptr && victim != kInvalidPoolIndex &&
+      !(try_local && victim == local_victim)) {  // already scanned
+    stolen_from = victim;
+    best = ScanBankHeads(victim);
   }
-  if (chosen == kInvalidPoolIndex) {
+  if (best == nullptr) {
     member.steal_armed = false;
     return nullptr;
   }
-  const std::uint32_t stolen_from = chosen;
+  const PeerId best_peer = best->peer;
+  const std::uint32_t best_bank = best->slot / config_.mailboxes_per_bank;
   // Ownership handoff: the thief now claims the bank and owes the rest of
   // its drain — including the flag return — until the claim reverts. A
   // bank can be stolen onward (even back by its home owner, which
@@ -1344,7 +1326,7 @@ void Runtime::ProcessFrame(const ReadyFrame& frame) {
   msg.from = frame.peer;
   msg.slot = frame.slot;
   msg.pool = frame.pool;
-  Cycles cycles = config_.validate_cycles;
+  Cycles cycles = kValidateCycles;
   auto& caches = host_.caches();
   const std::uint32_t core = pool_[frame.pool].core_id;
   const mem::VirtAddr frame_addr = SlotAddr(peers_[frame.peer], frame.slot);
@@ -1352,30 +1334,29 @@ void Runtime::ProcessFrame(const ReadyFrame& frame) {
   // payload, jam data) runs through the hierarchy synchronously below, so
   // the delta of the cross-domain ledger is exactly what this drain paid.
   const std::uint64_t remote0 = caches.stats().remote_penalty_cycles;
-  const auto remote_delta = [&caches, remote0] {
-    return caches.stats().remote_penalty_cycles - remote0;
+  const auto complete = [&] {
+    CompleteFrame(frame, msg, cycles,
+                  caches.stats().remote_penalty_cycles - remote0);
+  };
+  // A rejected frame still completes (unexecuted), so its bank cursor
+  // advances and the bank flag goes home.
+  const auto reject = [&](const Status& why) {
+    ++stats_.security_rejections;
+    TC_WARN << "frame rejected: " << why;
+    complete();
   };
 
   // The poll/WFE loop re-reads the signal line; its final read plus the
   // header fetch go through the cache hierarchy (this is where stashing
   // vs DRAM delivery first shows up).
   auto hdr_span = host_.memory().RawSpan(frame_addr, kHeaderBytes);
-  if (!hdr_span.ok()) {
-    ++stats_.security_rejections;
-    CompleteFrame(frame, msg, cycles, remote_delta());
-    return;
-  }
+  if (!hdr_span.ok()) return reject(hdr_span.status());
   cycles += caches.Access(core, frame_addr, kHeaderBytes,
                           cache::AccessKind::kLoad);
   // Header validation is bounded by the mailbox slot: a frame_len larger
   // than the slot could only have been written by a corrupted sender.
   auto header = ReadHeader(*hdr_span, config_.mailbox_slot_bytes);
-  if (!header.ok()) {
-    ++stats_.security_rejections;
-    TC_WARN << "frame rejected: " << header.status();
-    CompleteFrame(frame, msg, cycles, remote_delta());
-    return;
-  }
+  if (!header.ok()) return reject(header.status());
   msg.sn = header->sn;
   msg.elem_id = header->elem_id;
   msg.frame_len = header->frame_len;
@@ -1387,10 +1368,8 @@ void Runtime::ProcessFrame(const ReadyFrame& frame) {
                           cache::AccessKind::kLoad);
   auto sig = host_.memory().LoadU64(frame_addr + header->frame_len - 8);
   if (!sig.ok() || *sig != SignalWord(header->sn)) {
-    ++stats_.security_rejections;
-    TC_WARN << "bad signal word for sn " << header->sn;
-    CompleteFrame(frame, msg, cycles, remote_delta());
-    return;
+    return reject(DataLoss(StrFormat("bad signal word for sn %u",
+                                     header->sn)));
   }
   if (!config_.fixed_size_frames) {
     // Variable-size frames: the first wait only covered the header magic;
@@ -1400,26 +1379,14 @@ void Runtime::ProcessFrame(const ReadyFrame& frame) {
   }
 
   auto invoke_cycles = InvokeFrame(frame, *header, msg);
-  if (!invoke_cycles.ok()) {
-    ++stats_.security_rejections;
-    TC_WARN << "invoke failed: " << invoke_cycles.status();
-  } else {
-    cycles += *invoke_cycles;
-  }
-  CompleteFrame(frame, msg, cycles, remote_delta());
+  if (!invoke_cycles.ok()) return reject(invoke_cycles.status());
+  cycles += *invoke_cycles;
+  complete();
 }
 
 StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
                                       const FrameHeader& header,
                                       ReceivedMessage& msg) {
-  if ((header.flags & kFlagByHandle) != 0) {
-    if (!config_.jam_cache.enabled) {
-      return FailedPrecondition(
-          "by-handle frame received but the jam cache is disabled");
-    }
-    return InvokeByHandle(frame, header, msg);
-  }
-
   Cycles cycles = 0;
   const mem::VirtAddr frame_addr = SlotAddr(peers_[frame.peer], frame.slot);
   auto& caches = host_.caches();
@@ -1427,91 +1394,173 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
   PoolCore& member = pool_[frame.pool];
   const std::uint32_t core = member.core_id;
 
-  ElementInfo* elem = nullptr;
-  for (auto& e : elements_) {
-    if (e.elem_id == header.elem_id && e.kind == pkg::ElementKind::kJam) {
-      elem = &e;
-    }
-  }
-  if (elem == nullptr) {
-    return NotFound(StrFormat("unknown element id %u", header.elem_id));
-  }
-
-  FrameSpec spec;
-  spec.injected = msg.injected;
-  spec.args_size = header.args_size;
-  spec.usr_size = header.usr_size;
-  spec.split_code_data = config_.security.split_code_data_pages;
-  if (spec.injected) {
-    spec.got_slots = elem->injected_image.got_slot_count();
-    spec.code_size = elem->code_blob.size();
-  }
-  const FrameLayout layout = FrameLayout::Compute(spec);
-
+  // Resolve the code: where execution starts, the window it may fetch
+  // from, how many mailbox bytes W^X flipped (restored to RWX after
+  // execution), and the element a full-body arrival installs into the
+  // jam cache. One tail below then executes, restores and installs.
+  FrameLayout layout;
   mem::VirtAddr entry = 0;
-  if (msg.injected) {
-    // code_size is the full blob (text..rodata); a blob smaller than its
-    // own text would wrap the unsigned rodata bound below and neuter the
-    // verifier's lea escape check. LoadPackage's layout validation should
-    // make this unreachable — keep it as defense in depth.
-    const std::uint64_t text_bytes = elem->injected_image.text.size();
-    if (spec.code_size < text_bytes) {
-      return InvalidArgument(StrFormat(
-          "jam '%s': code blob (%llu B) smaller than its text (%llu B)",
-          elem->name.c_str(),
-          static_cast<unsigned long long>(spec.code_size),
-          static_cast<unsigned long long>(text_bytes)));
+  mem::VirtAddr code_base = 0;
+  std::uint64_t code_size = 0;
+  std::uint64_t restore_bytes = 0;
+  ElementInfo* install = nullptr;
+
+  if (msg.by_handle) {
+    if (!config_.jam_cache.enabled) {
+      return FailedPrecondition(
+          "by-handle frame received but the jam cache is disabled");
     }
-    if (config_.security.verify_injected_code) {
-      TC_ASSIGN_OR_RETURN(const auto code_span,
-                          memory.RawSpan(frame_addr + layout.code_off,
-                                         text_bytes));
-      vm::VerifyLimits limits;
-      limits.got_slots = spec.got_slots;
-      limits.rodata_bytes = spec.code_size - text_bytes;
-      limits.pre_slot_offset = jelf::kPreambleSlotOffset;
-      TC_RETURN_IF_ERROR(vm::VerifyCode(code_span, limits));
-      cycles += text_bytes / 4;  // ~2 cy / instruction
+    // The 64-bit content handle rides at kHeaderBytes (in place of GOTP).
+    cycles += caches.Access(core, frame_addr + kHeaderBytes, 8,
+                            cache::AccessKind::kLoad);
+    TC_ASSIGN_OR_RETURN(const std::uint64_t handle,
+                        memory.LoadU64(frame_addr + kHeaderBytes));
+    FrameSpec spec;
+    spec.by_handle = true;
+    spec.args_size = header.args_size;
+    spec.usr_size = header.usr_size;
+    layout = FrameLayout::Compute(spec);
+
+    // Miss — cold cache, eviction, content drift after a reload, or a
+    // cross-namespace handle trick (the handle names content this cache
+    // holds, but the header claims a different element; an honest sender
+    // only produces matched pairs). The frame is *not* executed (its code
+    // never travelled, or must not run under a forged identity); instead
+    // the slot's NAK bit rides home in the bank flag and the sender
+    // resends full-body. Not an error and not a security rejection: the
+    // protocol is designed to degrade this way.
+    const auto it = jam_cache_.find(handle);
+    if (it == jam_cache_.end() || it->second.elem_id != header.elem_id) {
+      ++jam_stats_.misses;
+      ++jam_stats_.naks_sent;
+      msg.cache_miss = true;
+      PeerState& p = peers_[frame.peer];
+      const std::uint32_t bank = frame.slot / config_.mailboxes_per_bank;
+      p.bank_nak_mask[bank] |= 1u << (frame.slot % config_.mailboxes_per_bank);
+      return cycles;
     }
-    if (config_.security.receiver_installs_got) {
-      // §V: receiver inserts the GOT pointer from a secure location.
-      TC_ASSIGN_OR_RETURN(const mem::VirtAddr table,
-                          ReceiverGotFor(*elem, host_.core(core)));
-      cycles += caches.Access(core, frame_addr + layout.pre_off, 8,
-                              cache::AccessKind::kStore);
-      TC_RETURN_IF_ERROR(
-          memory.DmaWrite(frame_addr + layout.pre_off,
-                          std::span<const std::uint8_t>(
-                              reinterpret_cast<const std::uint8_t*>(&table),
-                              8)));
+    JamCacheEntry& cached = it->second;
+    ++jam_stats_.hits;
+    ++cached.invokes;
+    cached.last_used = ++jam_cache_tick_;
+
+    // The per-hit link is a PRE-slot validation of the resident image —
+    // the table lookup that replaces the full per-invoke GOT rewrite. No
+    // code verification (done at install), no GOT install, and no W^X
+    // flips: the cached code pages never see the mailbox.
+    cycles += kJamHitRelinkCycles;
+    cycles += caches.Access(core, cached.image.pre_addr, 8,
+                            cache::AccessKind::kLoad);
+    TC_RETURN_IF_ERROR(jelf::RelinkCachedImage(memory, cached.image));
+    if (config_.security.verify_cached_invokes) {
+      // Paranoid mode: a cached image must be *exactly* as constrained as
+      // a full-body frame, so re-verify the resident bytes on every hit.
+      TC_ASSIGN_OR_RETURN(
+          const auto resident,
+          memory.RawSpan(cached.image.code_addr, cached.image.code_size));
+      TC_ASSIGN_OR_RETURN(const Cycles verify,
+                          VerifyJamText(resident, cached.text_size,
+                                        cached.image.got_slots));
+      cycles += verify;
+    }
+
+    // Savings ledger: what the same invoke would have cost full-body.
+    FrameSpec full;
+    full.injected = true;
+    full.got_slots = cached.image.got_slots;
+    full.code_size = cached.image.code_size;
+    full.args_size = header.args_size;
+    full.usr_size = header.usr_size;
+    full.split_code_data = config_.security.split_code_data_pages;
+    jam_stats_.bytes_saved +=
+        FrameLayout::Compute(full).frame_len - layout.frame_len;
+    if (cached.cold_link_cycles > kJamHitRelinkCycles) {
+      jam_stats_.link_cycles_saved +=
+          cached.cold_link_cycles - kJamHitRelinkCycles;
+    }
+    code_base = cached.image.code_addr;
+    code_size = cached.image.code_size;
+    entry = code_base + cached.entry_offset;
+  } else {
+    ElementInfo* elem = nullptr;
+    for (auto& e : elements_) {
+      if (e.elem_id == header.elem_id && e.kind == pkg::ElementKind::kJam) {
+        elem = &e;
+      }
+    }
+    if (elem == nullptr) {
+      return NotFound(StrFormat("unknown element id %u", header.elem_id));
+    }
+    const FrameSpec spec =
+        SpecFor(*elem, msg.injected, header.args_size, header.usr_size);
+    layout = FrameLayout::Compute(spec);
+    if (msg.injected) {
+      // code_size is the full blob (text..rodata); a blob smaller than its
+      // own text would wrap the unsigned rodata bound and neuter the
+      // verifier's lea escape check. LoadPackage's layout validation
+      // should make this unreachable — keep it as defense in depth.
+      const std::uint64_t text_bytes = elem->injected_image.text.size();
+      if (spec.code_size < text_bytes) {
+        return InvalidArgument(StrFormat(
+            "jam '%s': code blob (%llu B) smaller than its text (%llu B)",
+            elem->name.c_str(),
+            static_cast<unsigned long long>(spec.code_size),
+            static_cast<unsigned long long>(text_bytes)));
+      }
+      if (config_.security.verify_injected_code) {
+        TC_ASSIGN_OR_RETURN(const auto code_span,
+                            memory.RawSpan(frame_addr + layout.code_off,
+                                           spec.code_size));
+        TC_ASSIGN_OR_RETURN(
+            const Cycles verify,
+            VerifyJamText(code_span, text_bytes, spec.got_slots));
+        cycles += verify;
+      }
+      if (config_.security.receiver_installs_got) {
+        // §V: receiver inserts the GOT pointer from a secure location.
+        TC_ASSIGN_OR_RETURN(const mem::VirtAddr table,
+                            ReceiverGotFor(*elem, host_.core(core)));
+        cycles += caches.Access(core, frame_addr + layout.pre_off, 8,
+                                cache::AccessKind::kStore);
+        TC_RETURN_IF_ERROR(
+            memory.DmaWrite(frame_addr + layout.pre_off,
+                            std::span<const std::uint8_t>(
+                                reinterpret_cast<const std::uint8_t*>(&table),
+                                8)));
+      }
+      if (config_.security.split_code_data_pages) {
+        // W^X around execution: code pages RX, data pages RW.
+        cycles += 2 * kMprotectCycles;
+        TC_RETURN_IF_ERROR(memory.Protect(frame_addr, layout.args_off,
+                                          mem::Perm::kRX));
+        TC_RETURN_IF_ERROR(memory.Protect(
+            frame_addr + layout.args_off, layout.frame_len - layout.args_off,
+            config_.security.read_only_args ? mem::Perm::kRead
+                                            : mem::Perm::kRW));
+      }
+      code_base = frame_addr + layout.code_off;
+      code_size = spec.code_size;
+      entry = code_base + elem->entry_offset;
+      // Send-once, invoke-many: a full-body injected arrival is the
+      // install point of the jam cache.
+      if (config_.jam_cache.enabled) install = elem;
+    } else {
+      if (elem->local_entry == 0) {
+        return FailedPrecondition(
+            StrFormat("jam '%s' has no local-function binding on this host",
+                      elem->name.c_str()));
+      }
+      cycles += kDispatchCycles;
+      entry = elem->local_entry;
     }
     if (config_.security.split_code_data_pages) {
-      // W^X around execution: code pages RX, data pages RW.
-      cycles += 2 * config_.mprotect_cycles;
-      TC_RETURN_IF_ERROR(memory.Protect(frame_addr, layout.args_off,
-                                        mem::Perm::kRX));
-      TC_RETURN_IF_ERROR(memory.Protect(
-          frame_addr + layout.args_off, layout.frame_len - layout.args_off,
-          config_.security.read_only_args ? mem::Perm::kRead
-                                          : mem::Perm::kRW));
+      restore_bytes = layout.frame_len;
     }
-    entry = frame_addr + layout.code_off + elem->entry_offset;
-  } else {
-    if (elem->local_entry == 0) {
-      return FailedPrecondition(
-          StrFormat("jam '%s' has no local-function binding on this host",
-                    elem->name.c_str()));
-    }
-    cycles += config_.dispatch_cycles;
-    entry = elem->local_entry;
   }
 
   if ((header.flags & kFlagNoExecute) == 0) {
-    vm::Interpreter interp(
-        memory, caches, core, &natives_,
-        msg.injected
-            ? ConfinedExec(frame_addr + layout.code_off, spec.code_size)
-            : ConfinedExec(0, 0));
+    vm::Interpreter interp(memory, caches, core, &natives_,
+                           ConfinedExec(code_base, code_size));
     const std::uint64_t args[3] = {frame_addr + layout.args_off,
                                    frame_addr + layout.usr_off,
                                    header.usr_size};
@@ -1521,11 +1570,12 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
     msg.instructions = result.instructions;
     if (!result.status.ok()) {
       // Restore mailbox permissions before surfacing the fault.
-      if (config_.security.split_code_data_pages) {
-        (void)memory.Protect(frame_addr, layout.frame_len, mem::Perm::kRWX);
+      if (restore_bytes != 0) {
+        (void)memory.Protect(frame_addr, restore_bytes, mem::Perm::kRWX);
       }
       return Status(result.status.code(),
-                    StrFormat("jam '%s' faulted: %s", elem->name.c_str(),
+                    StrFormat("%sjam %u faulted: %s",
+                              msg.by_handle ? "cached " : "", header.elem_id,
                               result.status.message().c_str()));
     }
     cycles += result.cycles;
@@ -1533,144 +1583,41 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
     msg.return_value = result.return_value;
   }
 
-  if (config_.security.split_code_data_pages) {
-    cycles += config_.mprotect_cycles;
+  if (restore_bytes != 0) {
+    cycles += kMprotectCycles;
     TC_RETURN_IF_ERROR(
-        memory.Protect(frame_addr, layout.frame_len, mem::Perm::kRWX));
+        memory.Protect(frame_addr, restore_bytes, mem::Perm::kRWX));
   }
 
-  // Send-once, invoke-many: a full-body injected arrival is the install
-  // point of the jam cache — link the post-GOT-rewrite image once so
-  // every later invoke of this content can ride a slim by-handle frame.
-  if (msg.injected && config_.jam_cache.enabled) {
-    auto install = InstallInJamCache(*elem);
-    if (install.ok()) {
-      cycles += *install;
+  // Link the post-GOT-rewrite image once so every later invoke of this
+  // content can ride a slim by-handle frame.
+  if (install != nullptr) {
+    auto installed = InstallInJamCache(*install);
+    if (installed.ok()) {
+      cycles += *installed;
     } else {
       // A full install failure (e.g. receiver memory pressure) only means
       // the fast path stays cold — the frame itself already executed.
-      TC_WARN << "jam-cache install of '" << elem->name
-              << "' failed: " << install.status();
+      TC_WARN << "jam-cache install of '" << install->name
+              << "' failed: " << installed.status();
     }
   }
   return cycles;
 }
 
-StatusOr<Cycles> Runtime::InvokeByHandle(const ReadyFrame& frame,
-                                         const FrameHeader& header,
-                                         ReceivedMessage& msg) {
-  Cycles cycles = 0;
-  const mem::VirtAddr frame_addr = SlotAddr(peers_[frame.peer], frame.slot);
-  auto& caches = host_.caches();
-  auto& memory = host_.memory();
-  PoolCore& member = pool_[frame.pool];
-  const std::uint32_t core = member.core_id;
-
-  // The 64-bit content handle rides at kHeaderBytes (in place of GOTP).
-  cycles += caches.Access(core, frame_addr + kHeaderBytes, 8,
-                          cache::AccessKind::kLoad);
-  TC_ASSIGN_OR_RETURN(const std::uint64_t handle,
-                      memory.LoadU64(frame_addr + kHeaderBytes));
-
-  FrameSpec spec;
-  spec.by_handle = true;
-  spec.args_size = header.args_size;
-  spec.usr_size = header.usr_size;
-  const FrameLayout layout = FrameLayout::Compute(spec);
-
-  // Miss — cold cache, eviction, content drift after a reload, or a frame
-  // whose claimed element does not match the cached content. The frame is
-  // *not* executed (its code never travelled); instead the slot's NAK bit
-  // rides home in the bank flag and the sender resends full-body. Not an
-  // error and not a security rejection: the protocol is designed to
-  // degrade this way.
-  const auto nak = [&]() -> Cycles {
-    ++jam_stats_.misses;
-    ++jam_stats_.naks_sent;
-    msg.cache_miss = true;
-    PeerState& p = peers_[frame.peer];
-    const std::uint32_t bank = frame.slot / config_.mailboxes_per_bank;
-    p.bank_nak_mask[bank] |= 1u << (frame.slot % config_.mailboxes_per_bank);
-    return cycles;
-  };
-
-  const auto it = jam_cache_.find(handle);
-  if (it == jam_cache_.end()) return nak();
-
-  JamCacheEntry& entry = it->second;
-  if (entry.elem_id != header.elem_id) {
-    // Cross-namespace handle trick: the handle names content this cache
-    // holds, but the header claims a different element. An honest sender
-    // can only produce matched pairs, so degrade to the NAK path — the
-    // full-body resend re-establishes which element the bytes belong to —
-    // instead of executing cached code under a forged identity.
-    return nak();
+StatusOr<Cycles> Runtime::VerifyJamText(std::span<const std::uint8_t> code,
+                                        std::uint64_t text_bytes,
+                                        std::uint32_t got_slots) const {
+  // A blob smaller than its text would wrap the unsigned rodata bound.
+  if (code.size() < text_bytes) {
+    return InvalidArgument("code blob smaller than its text");
   }
-  ++jam_stats_.hits;
-  ++entry.invokes;
-  entry.last_used = ++jam_cache_tick_;
-
-  // The per-hit link is a PRE-slot validation of the resident image — the
-  // table lookup that replaces the full per-invoke GOT rewrite. No code
-  // verification (done at install), no GOT install, and no W^X flips: the
-  // cached code pages never see the mailbox.
-  cycles += config_.jam_cache.hit_relink_cycles;
-  cycles += caches.Access(core, entry.image.pre_addr, 8,
-                          cache::AccessKind::kLoad);
-  TC_RETURN_IF_ERROR(jelf::RelinkCachedImage(memory, entry.image));
-
-  if (config_.security.verify_cached_invokes) {
-    // Paranoid mode: a cached image must be *exactly* as constrained as a
-    // full-body frame, so re-verify the resident bytes on every hit (the
-    // same pass a full-body arrival would pay, over the same window).
-    TC_ASSIGN_OR_RETURN(
-        const auto resident,
-        memory.RawSpan(entry.image.code_addr, entry.text_size));
-    vm::VerifyLimits limits;
-    limits.got_slots = entry.image.got_slots;
-    limits.rodata_bytes = entry.image.code_size - entry.text_size;
-    limits.pre_slot_offset = jelf::kPreambleSlotOffset;
-    TC_RETURN_IF_ERROR(vm::VerifyCode(resident, limits));
-    cycles += entry.text_size / 4;
-  }
-
-  // Savings ledger: what the same invoke would have cost full-body.
-  FrameSpec full;
-  full.injected = true;
-  full.got_slots = entry.image.got_slots;
-  full.code_size = entry.image.code_size;
-  full.args_size = header.args_size;
-  full.usr_size = header.usr_size;
-  full.split_code_data = config_.security.split_code_data_pages;
-  const FrameLayout full_layout = FrameLayout::Compute(full);
-  jam_stats_.bytes_saved += full_layout.frame_len - layout.frame_len;
-  if (entry.cold_link_cycles > config_.jam_cache.hit_relink_cycles) {
-    jam_stats_.link_cycles_saved +=
-        entry.cold_link_cycles - config_.jam_cache.hit_relink_cycles;
-  }
-
-  if ((header.flags & kFlagNoExecute) == 0) {
-    vm::Interpreter interp(
-        memory, caches, core, &natives_,
-        ConfinedExec(entry.image.code_addr, entry.image.code_size));
-    const std::uint64_t args[3] = {frame_addr + layout.args_off,
-                                   frame_addr + layout.usr_off,
-                                   header.usr_size};
-    const vm::ExecResult result = interp.Execute(
-        entry.image.code_addr + entry.entry_offset, args, member.stack_top);
-    host_.core(core).CountInstructions(result.instructions);
-    msg.instructions = result.instructions;
-    if (!result.status.ok()) {
-      return Status(result.status.code(),
-                    StrFormat("cached jam (handle %llx) faulted: %s",
-                              static_cast<unsigned long long>(handle),
-                              result.status.message().c_str()));
-    }
-    cycles += result.cycles;
-    msg.executed = true;
-    msg.return_value = result.return_value;
-  }
-  return cycles;
+  vm::VerifyLimits limits;
+  limits.got_slots = got_slots;
+  limits.rodata_bytes = code.size() - text_bytes;
+  limits.pre_slot_offset = jelf::kPreambleSlotOffset;
+  TC_RETURN_IF_ERROR(vm::VerifyCode(code.first(text_bytes), limits));
+  return static_cast<Cycles>(text_bytes / 4);  // ~2 cy / instruction
 }
 
 StatusOr<Cycles> Runtime::InstallInJamCache(ElementInfo& elem) {
@@ -1685,17 +1632,9 @@ StatusOr<Cycles> Runtime::InstallInJamCache(ElementInfo& elem) {
     // just covered, and every later by-handle invoke executes it with no
     // body on the wire at all. Verify-at-install keeps the invariant
     // "nothing unverified is ever executable" on the fast path too.
-    if (elem.code_blob.size() < text_bytes) {
-      return InvalidArgument("code blob smaller than its text");
-    }
-    vm::VerifyLimits limits;
-    limits.got_slots = elem.injected_image.got_slot_count();
-    limits.rodata_bytes = elem.code_blob.size() - text_bytes;
-    limits.pre_slot_offset = jelf::kPreambleSlotOffset;
-    TC_RETURN_IF_ERROR(vm::VerifyCode(
-        std::span<const std::uint8_t>(elem.code_blob).first(text_bytes),
-        limits));
-    cycles += text_bytes / 4;
+    TC_ASSIGN_OR_RETURN(cycles,
+                        VerifyJamText(elem.code_blob, text_bytes,
+                                      elem.injected_image.got_slot_count()));
   }
 
   // Capacity pressure: evict the entry with the fewest invokes (ties:
@@ -1737,7 +1676,7 @@ StatusOr<Cycles> Runtime::InstallInJamCache(ElementInfo& elem) {
       (void)jelf::ReleaseCachedImage(host_.memory(), image);
       return sealed;
     }
-    cycles += config_.mprotect_cycles;
+    cycles += kMprotectCycles;
   }
 
   JamCacheEntry entry;
@@ -1750,9 +1689,9 @@ StatusOr<Cycles> Runtime::InstallInJamCache(ElementInfo& elem) {
   jam_cache_bytes_ += image.size;
   ++jam_stats_.installs;
   jam_cache_.emplace(elem.content_handle, std::move(entry));
-  return cycles + config_.jam_cache.install_cycles +
+  return cycles + kJamInstallCycles +
          static_cast<Cycles>(elem.injected_image.got_slot_count()) *
-             config_.got_lookup_cycles;
+             kGotLookupCycles;
 }
 
 Cycles Runtime::ColdLinkCyclesFor(const ElementInfo& elem) const noexcept {
@@ -1762,16 +1701,16 @@ Cycles Runtime::ColdLinkCyclesFor(const ElementInfo& elem) const noexcept {
   // install, and the W^X permission flips (two before execution, one
   // restore after).
   Cycles cycles = static_cast<Cycles>(elem.injected_image.got_slot_count()) *
-                  config_.got_lookup_cycles;
+                  kGotLookupCycles;
   if (config_.security.verify_injected_code) {
     cycles += elem.injected_image.text.size() / 4;
   }
   if (config_.security.receiver_installs_got) {
     cycles += static_cast<Cycles>(elem.injected_image.got_slot_count()) *
-              config_.got_lookup_cycles;
+              kGotLookupCycles;
   }
   if (config_.security.split_code_data_pages) {
-    cycles += 3 * config_.mprotect_cycles;
+    cycles += 3 * kMprotectCycles;
   }
   return cycles;
 }
@@ -1869,7 +1808,7 @@ StatusOr<mem::VirtAddr> Runtime::ReceiverGotFor(ElementInfo& elem,
   // "from a secure read-only location" — seal the table.
   TC_RETURN_IF_ERROR(
       host_.memory().Protect(table, bytes, mem::Perm::kRead));
-  core.Charge(static_cast<Cycles>(symbols.size()) * config_.got_lookup_cycles,
+  core.Charge(static_cast<Cycles>(symbols.size()) * kGotLookupCycles,
               cpu::CycleClass::kExecute);
   elem.receiver_got = table;
   return table;
@@ -2038,14 +1977,10 @@ Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank,
                                bool owner_idle) {
   if (peer_id >= peers_.size()) return FailedPrecondition("not wired");
   PeerState& peer = peers_[peer_id];
-  Runtime* peer_rt = peer.runtime;
-  const PeerId our_id_at_peer = peer.remote_id;
   ++stats_.bank_flags_returned;
   ++stats_.per_peer[peer_id].bank_flags_returned;
   // Bit 0 opens the bank; bit 1 is the idle hint the sender's flow-bias
   // pick reads: "the core that owns this bank had nothing left to drain".
-  // Bits [32, 64) carry the per-slot jam-cache NAK mask: "these by-handle
-  // frames named content I do not have — resend them full-body".
   std::uint64_t flag_word = 1ull | (owner_idle ? 2ull : 0ull);
   // Bit 2 echoes a switch ECN mark home (ECE): a frame of this bank
   // arrived marked since the last return. Echoed exactly once — the
@@ -2056,20 +1991,7 @@ Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank,
     peer.bank_ecn[bank] = 0;
     ++stats_.ecn_echoes_sent;
   }
-  if (config_.jam_cache.enabled && !peer.bank_nak_mask.empty()) {
-    flag_word |= static_cast<std::uint64_t>(peer.bank_nak_mask[bank]) << 32;
-    peer.bank_nak_mask[bank] = 0;
-  }
-  TC_ASSIGN_OR_RETURN(
-      const ucxs::PutReceipt receipt,
-      peer.endpoint->PutInline(
-          flag_word, peer.peer_flag_base + 8ull * bank, peer.peer_flag_rkey,
-          false,
-          [peer_rt, our_id_at_peer, bank](const net::PutCompletion& c) {
-            if (c.status.ok()) peer_rt->OnBankFlag(our_id_at_peer, bank);
-          }));
-  (void)receipt;
-  return Status::Ok();
+  return PutFlagWord(peer, bank, flag_word);
 }
 
 Status Runtime::SendNakFlag(PeerId peer_id, std::uint32_t bank) {
@@ -2078,13 +2000,21 @@ Status Runtime::SendNakFlag(PeerId peer_id, std::uint32_t bank) {
   if (peer.bank_nak_mask.empty() || peer.bank_nak_mask[bank] == 0) {
     return Status::Ok();
   }
-  Runtime* peer_rt = peer.runtime;
-  const PeerId our_id_at_peer = peer.remote_id;
   // Bit 0 stays clear: this put does NOT reopen the bank — it only ships
   // the accumulated NAK bits so the sender can resend full-body at once.
-  const std::uint64_t flag_word =
-      static_cast<std::uint64_t>(peer.bank_nak_mask[bank]) << 32;
-  peer.bank_nak_mask[bank] = 0;
+  return PutFlagWord(peer, bank, 0);
+}
+
+Status Runtime::PutFlagWord(PeerState& peer, std::uint32_t bank,
+                            std::uint64_t flag_word) {
+  // Bits [32, 64) carry the per-slot jam-cache NAK mask: "these by-handle
+  // frames named content I do not have — resend them full-body".
+  if (!peer.bank_nak_mask.empty()) {
+    flag_word |= static_cast<std::uint64_t>(peer.bank_nak_mask[bank]) << 32;
+    peer.bank_nak_mask[bank] = 0;
+  }
+  Runtime* peer_rt = peer.runtime;
+  const PeerId our_id_at_peer = peer.remote_id;
   TC_ASSIGN_OR_RETURN(
       const ucxs::PutReceipt receipt,
       peer.endpoint->PutInline(

@@ -155,12 +155,11 @@ struct JamCacheConfig {
   /// fewest invokes (ties: least recently used, then lowest handle) —
   /// clamped to >= 1 at Initialize when enabled.
   std::uint32_t capacity = 8;
-  /// Per-hit cost: validate the cached image's PRE slot (the table-lookup
-  /// replacement for the full GOT rewrite).
-  Cycles hit_relink_cycles = 12;
-  /// Cache bookkeeping charged once per install (hash probe + insert).
-  Cycles install_cycles = 60;
 };
+
+/// Cost of one jam-cache hit: validate the cached image's PRE slot
+/// (the table-lookup replacement for the full GOT rewrite).
+inline constexpr Cycles kJamHitRelinkCycles = 12;
 
 /// Counter plane of the receiver-side jam cache (monotonic; never reset).
 /// Ledger contracts the invariant harnesses enforce at quiescence:
@@ -291,12 +290,6 @@ struct RuntimeConfig {
   /// Interpreter limits for executing jams; enforce_exec_permission is
   /// overwritten from `security` at Initialize().
   vm::ExecConfig exec{};
-  /// Receiver bookkeeping costs (cycles).
-  Cycles validate_cycles = 30;
-  Cycles dispatch_cycles = 40;
-  Cycles pack_base_cycles = 40;
-  Cycles got_lookup_cycles = 18;   ///< per GOTP slot packed / installed
-  Cycles mprotect_cycles = 700;    ///< per permission flip (split-page mode)
 };
 
 /// How a jam is invoked (§IV-B).
@@ -404,7 +397,7 @@ struct RuntimeStats {
 
 /// The Two-Chains runtime: one per host process (see the file comment
 /// for the full model). Lifecycle: construct -> Initialize() ->
-/// Connect()/Wire() -> LoadPackage() -> SyncNamespaces() ->
+/// Connect() -> LoadPackage() -> SyncNamespaces() ->
 /// StartReceiver(); docs/RUNTIME_LIFECYCLE.md spells out the order and
 /// the hotplug protocol. All callbacks (SetOnExecuted, slot waiters) run
 /// on the simulation engine — there is no host-thread concurrency
@@ -431,9 +424,6 @@ class Runtime {
   /// `first` is b's id within a, `second` is a's id within b. Their NICs
   /// must already be cabled (net::Nic::ConnectTo).
   static StatusOr<std::pair<PeerId, PeerId>> Connect(Runtime& a, Runtime& b);
-
-  /// Back-compat two-host wireup: Connect() discarding the peer ids.
-  static Status Wire(Runtime& a, Runtime& b);
 
   /// Loads a package on this host: rieds first (with auto-init), then the
   /// Local Function library; caches injectable jam images. With
@@ -564,7 +554,7 @@ class Runtime {
   const RuntimeConfig& config() const noexcept { return config_; }
   /// Mutable view for tests/stress tooling; mutating shape knobs (banks,
   /// pool width) after Initialize() is undefined — only trigger values
-  /// (steal thresholds, cycle costs) are safe to adjust live.
+  /// (steal thresholds) are safe to adjust live.
   RuntimeConfig& mutable_config() noexcept { return config_; }
   /// Whole-runtime counters (see RuntimeStats for the ledger contracts).
   const RuntimeStats& stats() const noexcept { return stats_; }
@@ -861,6 +851,10 @@ class Runtime {
   StatusOr<PeerId> AttachPeer(Runtime& remote);
 
   StatusOr<const ElementInfo*> FindElement(const std::string& name) const;
+  /// The frame shape of one invoke of @p elem: GOTP/CODE sized from the
+  /// element when @p injected, absent otherwise (Local and by-handle).
+  FrameSpec SpecFor(const ElementInfo& elem, bool injected,
+                    std::uint64_t args_bytes, std::uint64_t usr_bytes) const;
 
   /// The pool member whose *affinity* (peer, bank) is — the stable default
   /// home, so a bank's frames always land in the cache next to the core
@@ -901,6 +895,7 @@ class Runtime {
   void MaybeBeginNext(std::uint32_t pool_index);
   /// Earliest-delivered ready bank head among the banks @p pool_index
   /// claims, or nullptr. The returned pointer lives in a peer's ready map.
+  /// Serves both a core's own scan and a thief's scan of its victim.
   const ReadyFrame* ScanBankHeads(std::uint32_t pool_index);
   /// Steal attempt for an idle @p thief: picks the most-loaded sibling
   /// (ready-frame backlog over its claimed banks, ties to the lowest pool
@@ -944,6 +939,11 @@ class Runtime {
   /// Returns @p bank's flag to @p peer; @p owner_idle rides along as the
   /// flow-bias hint (the receiving sender mirrors it per bank).
   Status ReturnBankFlag(PeerId peer, std::uint32_t bank, bool owner_idle);
+  /// Puts one flag word for @p bank to @p peer, ORing the bank's pending
+  /// jam-cache NAK bits into [32, 64) and clearing them. Both flag shapes
+  /// (drain flag and NAK-only push) go through here.
+  Status PutFlagWord(PeerState& peer, std::uint32_t bank,
+                     std::uint64_t flag_word);
   /// flow_bias bank pick at a bank boundary: the first open bank with an
   /// idle-owner hint in rotation order from the round-robin target, else
   /// the first open bank, else the round-robin target (to stall against).
@@ -952,9 +952,20 @@ class Runtime {
   std::uint32_t DomainOfPoolCore(std::uint32_t pool_index) const noexcept;
 
   /// Executes the frame body; returns cycles burned and fills @p msg.
+  /// One pipeline for every frame shape: the code is resolved from the
+  /// jam cache (by-handle: hit, or a NAK for the slot on a miss), from
+  /// the frame itself (full-body Injected), or from the local library
+  /// (Local); then one tail executes, restores page permissions, and
+  /// installs a full-body jam into the cache.
   StatusOr<Cycles> InvokeFrame(const ReadyFrame& frame,
                                const FrameHeader& header,
                                ReceivedMessage& msg);
+  /// Statically verifies the first @p text_bytes of one jam's code blob
+  /// @p code (text, then rodata) against a @p got_slots GOT. Returns the
+  /// verification cost (~2 cycles / instruction).
+  StatusOr<Cycles> VerifyJamText(std::span<const std::uint8_t> code,
+                                 std::uint64_t text_bytes,
+                                 std::uint32_t got_slots) const;
 
   /// Hardened mode: per-element receiver-side GOT table (installed by the
   /// pool core handling the frame).
@@ -963,11 +974,6 @@ class Runtime {
 
   // ---------------------------------------------------------- jam cache
 
-  /// By-handle invoke: serve the frame from the cached image (hit) or
-  /// record a NAK for the slot (miss — no execution, no error).
-  StatusOr<Cycles> InvokeByHandle(const ReadyFrame& frame,
-                                  const FrameHeader& header,
-                                  ReceivedMessage& msg);
   /// Memoizes @p elem's post-GOT-rewrite image under its content handle
   /// after a full-body injected invoke (evicting under capacity pressure).
   /// Returns the cycles the install cost (zero when already resident).

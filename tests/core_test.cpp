@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "benchlib/workloads.hpp"
@@ -859,6 +861,169 @@ TEST_F(TwoChainsTest, FlowBiasOffNeverDiverts) {
     ASSERT_TRUE(msg.ok()) << msg.status();
   }
   EXPECT_EQ(testbed_->runtime(0).stats().biased_sends, 0u);
+}
+
+// -------------------------------------------------------- rejected invokes
+
+/// Every way an invoke can be refused must end the same way: one
+/// security_rejections tick, the frame completes unexecuted, its bank flag
+/// goes home, and the sender's next frame runs in the very same slot.
+class RejectedInvokeTest : public TwoChainsTest {
+ protected:
+  /// One bank of one slot: every frame drains its bank and reuses the
+  /// slot the previous frame occupied.
+  static TestbedOptions OneSlot() {
+    TestbedOptions options = Options();
+    options.runtime.banks = 1;
+    options.runtime.mailboxes_per_bank = 1;
+    return options;
+  }
+
+  /// The bench package plus `quot` (args[0] / args[1]), which faults in
+  /// the interpreter on a zero divisor, and `where`, which returns the
+  /// address of its ARGS block.
+  static StatusOr<pkg::Package> QuotPackage() {
+    pkg::PackageBuilder builder = bench::MakeBenchPackageBuilder();
+    TC_RETURN_IF_ERROR(builder.AddSourceFile(
+        "jam_quot.amc",
+        "long jam_quot(long* args, char* usr, long usr_bytes) {\n"
+        "  return args[0] / args[1];\n"
+        "}\n"));
+    TC_RETURN_IF_ERROR(builder.AddSourceFile(
+        "jam_where.amc",
+        "long jam_where(long* args, char* usr, long usr_bytes) {\n"
+        "  return (long)args;\n"
+        "}\n"));
+    return builder.Build("tcquot");
+  }
+
+  void SetUpQuot(TestbedOptions options) {
+    auto pkg = QuotPackage();
+    ASSERT_TRUE(pkg.ok()) << pkg.status();
+    pkg_ = *pkg;
+    testbed_ = std::make_unique<Testbed>(options);
+    ASSERT_TRUE(testbed_->LoadPackage(pkg_).ok());
+  }
+
+  /// Runs @p put_frame, which puts one frame the receiver must refuse at
+  /// invoke; checks the rejection and that the bank flag came home.
+  void ExpectRejected(const std::function<void()>& put_frame) {
+    Runtime& rx = testbed_->runtime(1);
+    const RuntimeStats before = rx.stats();
+    std::optional<ReceivedMessage> rejected;
+    rx.SetOnExecuted([&](const ReceivedMessage& msg) { rejected = msg; });
+    put_frame();
+    testbed_->Run();
+    rx.SetOnExecuted(nullptr);
+    ASSERT_TRUE(rejected.has_value());
+    EXPECT_FALSE(rejected->executed);
+    EXPECT_EQ(rx.stats().security_rejections, before.security_rejections + 1);
+    EXPECT_EQ(rx.stats().bank_flags_returned, before.bank_flags_returned + 1);
+    EXPECT_EQ(testbed_->runtime(0).ClosedSendBanks(kDefaultPeer), 0u);
+  }
+
+  /// The sender's next frame executes, without a further rejection.
+  void ExpectRecovers() {
+    const std::uint64_t rejections =
+        testbed_->runtime(1).stats().security_rejections;
+    auto next = SendAndRun("quot", Invoke::kInjected, {42, 6}, {});
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_TRUE(next->executed);
+    EXPECT_EQ(next->return_value, 7u);
+    EXPECT_EQ(testbed_->runtime(1).stats().security_rejections, rejections);
+  }
+
+  void ExpectRejectedThenRecovers(const std::function<void()>& put_frame) {
+    ExpectRejected(put_frame);
+    ExpectRecovers();
+  }
+
+  /// Sends quot @p dividend / @p divisor from host 0, asserting the post.
+  void SendQuot(Invoke mode, std::uint64_t dividend, std::uint64_t divisor) {
+    const std::vector<std::uint64_t> args = {dividend, divisor};
+    auto receipt = testbed_->runtime(0).Send("quot", mode, args, {});
+    ASSERT_TRUE(receipt.ok()) << receipt.status();
+    last_receipt_ = *receipt;
+  }
+
+  pkg::Package pkg_;
+};
+
+TEST_F(RejectedInvokeTest, ByHandleFrameAtCacheOffReceiver) {
+  // Only a forged frame can reach this: an honest sender goes by-handle
+  // only after the receiver installed the jam, which a cache-off
+  // receiver never does.
+  SetUpQuot(OneSlot());
+  const pkg::BuiltElement* quot = pkg_.Find(pkg::ElementKind::kJam, "quot");
+  ASSERT_NE(quot, nullptr);
+  ExpectRejectedThenRecovers([&] {
+    const std::vector<std::uint64_t> args = {42, 6};
+    FrameSpec spec;
+    spec.by_handle = true;
+    spec.args_size = args.size() * 8;
+    FrameHeader header;
+    header.sn = 0x7000;
+    header.elem_id = quot->element_id;
+    header.flags = kFlagInjected;
+    auto frame = PackHandleFrame(
+        spec, header, 0x1234,
+        std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(args.data()), 16),
+        {});
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    ASSERT_TRUE(
+        testbed_->runtime(1).InjectRawFrame(kDefaultPeer, 0, *frame).ok());
+  });
+}
+
+TEST_F(RejectedInvokeTest, LocalInvokeWithoutLocalBinding) {
+  auto pkg = QuotPackage();
+  ASSERT_TRUE(pkg.ok()) << pkg.status();
+  pkg::Package no_local = *pkg;
+  no_local.local_library = {};  // the receiver has no Local Function library
+  testbed_ = std::make_unique<Testbed>(OneSlot());
+  ASSERT_TRUE(testbed_->LoadPackages(*pkg, no_local).ok());
+  ExpectRejectedThenRecovers([&] { SendQuot(Invoke::kLocal, 42, 6); });
+}
+
+TEST_F(RejectedInvokeTest, CachedJamFaultsOnTheByHandlePath) {
+  TestbedOptions options = OneSlot();
+  JamCacheConfig cache;
+  cache.enabled = true;
+  options.WithJamCache(cache);
+  SetUpQuot(options);
+  auto install = SendAndRun("quot", Invoke::kInjected, {42, 6}, {});
+  ASSERT_TRUE(install.ok()) << install.status();
+  EXPECT_EQ(install->return_value, 7u);
+  testbed_->Run();  // the flag comes home before the next send
+  ExpectRejectedThenRecovers([&] { SendQuot(Invoke::kInjected, 42, 0); });
+  Runtime& rx = testbed_->runtime(1);
+  // The fault was a cache hit, and the recovery frame hit again.
+  EXPECT_EQ(rx.jam_cache_stats().hits, 2u);
+  EXPECT_EQ(rx.jam_cache_stats().misses, 0u);
+  EXPECT_TRUE(last_receipt_.by_handle);
+}
+
+TEST_F(RejectedInvokeTest, FullBodyJamFaultsUnderHardenedPolicy) {
+  TestbedOptions options = OneSlot();
+  options.runtime.security = SecurityPolicy::Hardened();
+  SetUpQuot(options);
+  // Locate the one mailbox slot: `where` returns its ARGS address.
+  auto where = SendAndRun("where", Invoke::kInjected, {0}, {});
+  ASSERT_TRUE(where.ok()) << where.status();
+  auto layout = testbed_->runtime(0).LayoutFor("where", Invoke::kInjected,
+                                               /*args_bytes=*/8, 0);
+  ASSERT_TRUE(layout.ok()) << layout.status();
+  const mem::VirtAddr slot = where->return_value - layout->args_off;
+  testbed_->Run();
+
+  ExpectRejected([&] { SendQuot(Invoke::kInjected, 42, 0); });
+  // W^X flipped the slot's code page to RX for execution; the fault path
+  // restores the mailbox to RWX before it surfaces the fault.
+  auto perms = testbed_->host(1).memory().PagePerms(slot);
+  ASSERT_TRUE(perms.ok()) << perms.status();
+  EXPECT_EQ(*perms, mem::Perm::kRWX);
+  ExpectRecovers();
 }
 
 }  // namespace
