@@ -8,6 +8,7 @@ namespace twochains::cache {
 
 CacheLevel::CacheLevel(const LevelConfig& config, std::uint64_t line_bytes)
     : line_bytes_(line_bytes),
+      line_shift_(Log2(line_bytes)),
       sets_(config.size_bytes / (line_bytes * config.ways)),
       ways_(config.ways),
       hit_cycles_(config.hit_cycles),

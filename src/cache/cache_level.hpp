@@ -22,6 +22,14 @@ class CacheLevel {
   /// Presence check without LRU side effects (for tests).
   bool Probe(mem::VirtAddr addr) const noexcept;
 
+  /// True if the line containing @p addr sits in the MRU way of its set:
+  /// a hit that Lookup would answer without moving anything.
+  bool HoldsAsMru(mem::VirtAddr addr) const noexcept {
+    const std::uint64_t line = LineOf(addr);
+    const std::uint64_t base = SetOf(line) * ways_;
+    return valid_[base] && tags_[base] == line;
+  }
+
   /// Installs the line containing @p addr, evicting LRU if the set is full.
   void Insert(mem::VirtAddr addr) noexcept;
 
@@ -43,7 +51,7 @@ class CacheLevel {
 
  private:
   std::uint64_t LineOf(mem::VirtAddr addr) const noexcept {
-    return addr / line_bytes_;
+    return addr >> line_shift_;
   }
   std::uint64_t SetOf(std::uint64_t line) const noexcept {
     return line & (sets_ - 1);
@@ -52,6 +60,7 @@ class CacheLevel {
   // Each set is a contiguous slice of `ways_` entries in tags_/valid_,
   // ordered most-recently-used first.
   std::uint64_t line_bytes_;
+  unsigned line_shift_;  // log2(line_bytes_)
   std::uint64_t sets_;
   std::uint32_t ways_;
   Cycles hit_cycles_;

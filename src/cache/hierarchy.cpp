@@ -143,6 +143,14 @@ Cycles CacheHierarchy::Access(std::uint32_t core, mem::VirtAddr addr,
   const std::uint64_t line = config_.line_bytes;
   const std::uint64_t first = AlignDown(addr, line);
   const std::uint64_t last = AlignUp(addr + size, line);
+  // One line already in L1's MRU way: the walk would stop at an L1 hit that
+  // moves nothing, so count it and return without walking.
+  assert(core < config_.cores);
+  if (last - first == line && l1_[core].HoldsAsMru(addr)) {
+    ++stats_.l1_hits;
+    if (last_level) *last_level = HitLevel::kL1;
+    return l1_[core].hit_cycles();
+  }
   Cycles total = 0;
   for (std::uint64_t a = first; a < last; a += line) {
     total += AccessLine(core, a, kind, last_level);

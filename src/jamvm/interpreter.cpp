@@ -1,7 +1,10 @@
 #include "jamvm/interpreter.hpp"
 
+#include <algorithm>
+#include <bitset>
 #include <cstring>
 
+#include "common/bitops.hpp"
 #include "common/strfmt.hpp"
 
 namespace twochains::vm {
@@ -11,22 +14,7 @@ namespace twochains::vm {
 StatusOr<std::uint64_t> NativeFrame::Load(mem::VirtAddr addr, unsigned bytes) {
   TC_RETURN_IF_ERROR(interp_.CheckDataWindows(addr, bytes));
   interp_.ChargeAccess(addr, bytes, cache::AccessKind::kLoad);
-  switch (bytes) {
-    case 1: {
-      TC_ASSIGN_OR_RETURN(const auto v, interp_.memory_.LoadU8(addr));
-      return static_cast<std::uint64_t>(v);
-    }
-    case 2: {
-      TC_ASSIGN_OR_RETURN(const auto v, interp_.memory_.LoadU16(addr));
-      return static_cast<std::uint64_t>(v);
-    }
-    case 4: {
-      TC_ASSIGN_OR_RETURN(const auto v, interp_.memory_.LoadU32(addr));
-      return static_cast<std::uint64_t>(v);
-    }
-    case 8: return interp_.memory_.LoadU64(addr);
-    default: return InvalidArgument("native load width");
-  }
+  return interp_.LoadZeroExtended(addr, bytes);
 }
 
 Status NativeFrame::Store(mem::VirtAddr addr, std::uint64_t value,
@@ -74,8 +62,6 @@ StatusOr<std::string> NativeFrame::LoadCString(mem::VirtAddr addr,
 }
 
 void NativeFrame::ChargeCycles(Cycles cycles) { interp_.cycles_ += cycles; }
-mem::HostMemory& NativeFrame::memory() { return interp_.memory_; }
-cache::CacheHierarchy& NativeFrame::caches() { return interp_.caches_; }
 std::uint32_t NativeFrame::core() const { return interp_.core_; }
 
 // ----------------------------------------------------------- NativeTable
@@ -117,6 +103,26 @@ Interpreter::Interpreter(mem::HostMemory& memory,
     : memory_(memory), caches_(caches), core_(core), natives_(natives),
       config_(std::move(config)) {}
 
+StatusOr<std::uint64_t> Interpreter::LoadZeroExtended(mem::VirtAddr addr,
+                                                      unsigned bytes) {
+  switch (bytes) {
+    case 1: {
+      TC_ASSIGN_OR_RETURN(const auto v, memory_.LoadU8(addr));
+      return static_cast<std::uint64_t>(v);
+    }
+    case 2: {
+      TC_ASSIGN_OR_RETURN(const auto v, memory_.LoadU16(addr));
+      return static_cast<std::uint64_t>(v);
+    }
+    case 4: {
+      TC_ASSIGN_OR_RETURN(const auto v, memory_.LoadU32(addr));
+      return static_cast<std::uint64_t>(v);
+    }
+    case 8: return memory_.LoadU64(addr);
+    default: return InvalidArgument("load width");
+  }
+}
+
 Status Interpreter::CheckDataWindows(mem::VirtAddr addr,
                                      std::uint64_t bytes) {
   if (config_.data_windows.empty() ||
@@ -152,7 +158,31 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
   mem::VirtAddr pc = entry;
   std::uint64_t last_ifetch_line = ~0ull;
   mem::VirtAddr checked_exec_page = ~0ull;
-  const std::uint64_t line_bytes = caches_.config().line_bytes;
+  const unsigned line_shift = Log2(caches_.config().line_bytes);
+
+  // Decoded-instruction memo (see the file comment), direct-mapped by pc.
+  // An entry fills only after every fetch-side check passed and its bytes
+  // decoded. [memo_lo, memo_hi) spans the memoized bytes; an overlapping
+  // store or any native call clears the memo. Entries count only under
+  // their memo_valid bit, so a clear is four word stores.
+  struct MemoEntry {
+    mem::VirtAddr pc;
+    Opcode op;
+    std::uint8_t rd, rs1, rs2;
+    std::int32_t imm;
+    bool writes_rd;
+    bool confined_transfer;  // pays confine_branch_cycles
+  };
+  constexpr std::size_t kMemoEntries = 256;
+  MemoEntry memo[kMemoEntries];  // left uninitialized; see memo_valid
+  std::bitset<kMemoEntries> memo_valid;
+  mem::VirtAddr memo_lo = ~0ull;
+  mem::VirtAddr memo_hi = 0;
+  auto clear_memo = [&] {
+    memo_valid.reset();
+    memo_lo = ~0ull;
+    memo_hi = 0;
+  };
 
   auto fail = [&](Status status) {
     result.status = Status(status.code(),
@@ -171,54 +201,66 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
       result.status = Status::Ok();
       break;
     }
-    if (IsNativeHandle(pc)) {
+    const std::size_t memo_slot = (pc / kInstrBytes) % kMemoEntries;
+    MemoEntry& memo_entry = memo[memo_slot];
+    const bool memo_hit = memo_valid[memo_slot] && memo_entry.pc == pc;
+    if (!memo_hit && IsNativeHandle(pc)) {
       return fail(PermissionDenied("jumped into a native handle"));
     }
     if (result.instructions >= config_.max_instructions) {
       return fail(ResourceExhausted("instruction budget exceeded"));
     }
-    // Control-flow confinement: checked on *every* fetch, not just taken
-    // branches — straight-line execution can run off the end of the image
-    // into adjacent bytes without a single jump.
-    if (!config_.exec_windows.empty() &&
-        !InWindows(config_.exec_windows, pc, kInstrBytes)) {
-      return fail(
-          PermissionDenied("instruction fetch escapes the confined image"));
-    }
-
-    // Execute-permission check, once per page.
-    if (config_.enforce_exec_permission) {
-      const mem::VirtAddr page = pc & ~(mem::kPageSize - 1);
-      if (page != checked_exec_page) {
-        Status perm = memory_.CheckPerms(pc, kInstrBytes, mem::Perm::kExec);
-        if (!perm.ok()) return fail(perm);
-        checked_exec_page = page;
+    if (!memo_hit) {
+      // Control-flow confinement: every pc is checked, not just branch
+      // targets — straight-line execution can run off the end of the image
+      // into adjacent bytes without a single jump.
+      if (!config_.exec_windows.empty() &&
+          !InWindows(config_.exec_windows, pc, kInstrBytes)) {
+        return fail(
+            PermissionDenied("instruction fetch escapes the confined image"));
+      }
+      // Execute-permission check, once per page.
+      if (config_.enforce_exec_permission) {
+        const mem::VirtAddr page = pc & ~(mem::kPageSize - 1);
+        if (page != checked_exec_page) {
+          Status perm = memory_.CheckPerms(pc, kInstrBytes, mem::Perm::kExec);
+          if (!perm.ok()) return fail(perm);
+          checked_exec_page = page;
+        }
       }
     }
 
     // Instruction fetch: charge the cache when entering a new line.
-    const std::uint64_t ifetch_line = pc / line_bytes;
+    const std::uint64_t ifetch_line = pc >> line_shift;
     if (ifetch_line != last_ifetch_line) {
       ChargeAccess(pc, kInstrBytes, cache::AccessKind::kInstFetch);
       last_ifetch_line = ifetch_line;
     }
-    const auto code = memory_.RawSpan(pc, kInstrBytes);
-    if (!code.ok()) return fail(code.status());
-    const auto decoded = Decode(code->data());
-    if (!decoded) return fail(DataLoss("undecodable instruction"));
-    const Instr in = *decoded;
+    if (!memo_hit) {
+      const auto code = memory_.RawSpan(pc, kInstrBytes);
+      if (!code.ok()) return fail(code.status());
+      const auto decoded = Decode(code->data());
+      if (!decoded) return fail(DataLoss("undecodable instruction"));
+      const Opcode op = decoded->op;
+      memo_entry = MemoEntry{
+          pc, op, decoded->rd, decoded->rs1, decoded->rs2, decoded->imm,
+          WritesRd(op),
+          !config_.exec_windows.empty() &&
+              (IsBranch(op) || op == Opcode::kJal || op == Opcode::kJalr)};
+      memo_valid[memo_slot] = true;
+      memo_lo = std::min(memo_lo, pc);
+      memo_hi = std::max(memo_hi, pc + kInstrBytes);
+    }
+    const Instr in{memo_entry.op, memo_entry.rd, memo_entry.rs1,
+                   memo_entry.rs2, memo_entry.imm};
 
     ++result.instructions;
     cycles_ += config_.base_cycles_per_instr;
-    if (!config_.exec_windows.empty() &&
-        (IsBranch(in.op) || in.op == Opcode::kJal ||
-         in.op == Opcode::kJalr)) {
-      cycles_ += config_.confine_branch_cycles;
-    }
+    if (memo_entry.confined_transfer) cycles_ += config_.confine_branch_cycles;
 
     mem::VirtAddr next_pc = pc + kInstrBytes;
     std::uint64_t rd_val = 0;
-    bool write_rd = WritesRd(in.op);
+    bool write_rd = memo_entry.writes_rd;
     const std::uint64_t a = regs[in.rs1];
     const std::uint64_t b = regs[in.rs2];
     const auto imm64 = static_cast<std::int64_t>(in.imm);
@@ -297,51 +339,14 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
           return fail(std::move(s));
         }
         ChargeAccess(addr, bytes, cache::AccessKind::kLoad);
-        std::uint64_t v = 0;
-        Status st;
-        switch (bytes) {
-          case 1: {
-            auto r = memory_.LoadU8(addr);
-            st = r.status();
-            if (r.ok()) {
-              v = in.op == Opcode::kLdb
-                      ? U(static_cast<std::int64_t>(
-                            static_cast<std::int8_t>(*r)))
-                      : *r;
-            }
-            break;
-          }
-          case 2: {
-            auto r = memory_.LoadU16(addr);
-            st = r.status();
-            if (r.ok()) {
-              v = in.op == Opcode::kLdh
-                      ? U(static_cast<std::int64_t>(
-                            static_cast<std::int16_t>(*r)))
-                      : *r;
-            }
-            break;
-          }
-          case 4: {
-            auto r = memory_.LoadU32(addr);
-            st = r.status();
-            if (r.ok()) {
-              v = in.op == Opcode::kLdw
-                      ? U(static_cast<std::int64_t>(
-                            static_cast<std::int32_t>(*r)))
-                      : *r;
-            }
-            break;
-          }
-          default: {
-            auto r = memory_.LoadU64(addr);
-            st = r.status();
-            if (r.ok()) v = *r;
-            break;
-          }
+        const auto loaded = LoadZeroExtended(addr, bytes);
+        if (!loaded.ok()) return fail(loaded.status());
+        switch (in.op) {  // sign-extend the signed widths
+          case Opcode::kLdb: rd_val = U(static_cast<std::int8_t>(*loaded)); break;
+          case Opcode::kLdh: rd_val = U(static_cast<std::int16_t>(*loaded)); break;
+          case Opcode::kLdw: rd_val = U(static_cast<std::int32_t>(*loaded)); break;
+          default: rd_val = *loaded; break;
         }
-        if (!st.ok()) return fail(st);
-        rd_val = v;
         break;
       }
 
@@ -364,6 +369,7 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
           default: st = memory_.StoreU64(addr, b); break;
         }
         if (!st.ok()) return fail(st);
+        if (addr < memo_hi && memo_lo < addr + bytes) clear_memo();
         break;
       }
 
@@ -397,6 +403,7 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
           write_rd = false;
           NativeFrame frame(*this, regs);
           Status st = (*fn)(frame);
+          clear_memo();  // the native may have written over memoized code
           if (!st.ok()) return fail(st);
           next_pc = in.rd != kZr ? rd_val : regs[kLr];
           break;

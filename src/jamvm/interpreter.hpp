@@ -10,6 +10,15 @@
 // tagged value dispatches the native function; everything else is
 // interpreted. Natives model receiver-runtime primitives (memcpy, print)
 // and charge their memory traffic through the same cache model.
+//
+// Fetch-side checks (native-handle pc, exec windows, the page X bit) run
+// when a pc is first decoded within an Execute call, not on every fetch:
+// each call keeps a small decoded-instruction memo, and nothing inside one
+// call can change what those checks saw (ExecConfig is fixed; neither jam
+// code nor a native can reach HostMemory::Protect). The instruction budget
+// and the ifetch cache charge still apply to every executed instruction. A
+// store overlapping a memoized pc, and every native call, clear the memo,
+// so self-modifying code on an RWX mailbox decodes its new bytes.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +54,8 @@ inline constexpr mem::VirtAddr kReturnSentinel = 0x7FFFFFFFFFFFFF00ull;
 
 class Interpreter;
 
-/// View of the machine state handed to a native function.
+/// View of the machine state handed to a native function. Natives reach
+/// jam memory only through the cache-charged accessors below.
 class NativeFrame {
  public:
   NativeFrame(Interpreter& interp, std::uint64_t* regs)
@@ -67,8 +77,6 @@ class NativeFrame {
   /// Adds pure-compute cycles on top of the charged memory traffic.
   void ChargeCycles(Cycles cycles);
 
-  mem::HostMemory& memory();
-  cache::CacheHierarchy& caches();
   std::uint32_t core() const;
 
  private:
@@ -118,10 +126,12 @@ struct ExecConfig {
   /// Check the X permission of the page containing the PC (the W^X
   /// security mode relies on this; the paper's default mailbox is RWX).
   bool enforce_exec_permission = true;
-  /// Control-flow confinement. When non-empty, every instruction fetch —
-  /// whether reached sequentially, by branch/jal, or by a computed jalr —
+  /// Control-flow confinement. When non-empty, every pc the call executes
+  /// — whether reached sequentially, by branch/jal, or by a computed jalr —
   /// must land inside one of these windows; the return sentinel and tagged
-  /// native handles stay reachable. An escaping pc faults with
+  /// native handles stay reachable. A pc is checked when it is first
+  /// decoded within a call (the windows cannot change mid-call), not
+  /// re-checked on every fetch. An escaping pc faults with
   /// kPermissionDenied *before* executing whatever bytes happen to be
   /// readable there, which is what bounds register-based jumps the static
   /// verifier cannot prove. Empty reproduces the paper's unconfined
@@ -175,6 +185,9 @@ class Interpreter {
 
   /// OK when data windows are off or @p addr..+bytes is inside one.
   Status CheckDataWindows(mem::VirtAddr addr, std::uint64_t bytes);
+
+  /// Permission-checked load of 1, 2, 4 or 8 bytes, zero-extended.
+  StatusOr<std::uint64_t> LoadZeroExtended(mem::VirtAddr addr, unsigned bytes);
 
   Cycles ChargeAccess(mem::VirtAddr addr, std::uint64_t size,
                       cache::AccessKind kind) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "cache/cache_level.hpp"
@@ -505,6 +506,82 @@ TEST(DomainHierarchyTest, StashedDrainCheaperWhenDomainLocal) {
   EXPECT_LT(local_cost, remote_cost);
   EXPECT_EQ(remote_cost - local_cost,
             16 * local.config().remote_penalty_cycles);
+}
+
+// ------------------------------------------------- Access equivalence
+
+bool operator==(const HierarchyStats& a, const HierarchyStats& b) {
+  return a.l1_hits == b.l1_hits && a.l2_hits == b.l2_hits &&
+         a.l3_hits == b.l3_hits && a.llc_hits == b.llc_hits &&
+         a.prefetch_covered == b.prefetch_covered &&
+         a.dram_accesses == b.dram_accesses &&
+         a.stash_lines == b.stash_lines &&
+         a.dma_invalidated_lines == b.dma_invalidated_lines &&
+         a.remote_accesses == b.remote_accesses &&
+         a.remote_penalty_cycles == b.remote_penalty_cycles;
+}
+
+TEST(AccessEquivalenceTest, AccessMatchesThePerLineWalk) {
+  // Access may answer a one-line L1 MRU hit without walking; it must stay
+  // indistinguishable from charging every touched line through AccessLine.
+  // Two identical 4-core, 2-cluster, 2-domain hierarchies (prefetcher on)
+  // see the same seeded stream: loads, stores and ifetches of 1..96 bytes
+  // (some straddle a line), over a footprint small enough for frequent L1
+  // hits, with stash and DRAM deliveries interleaved.
+  HierarchyConfig cfg = DomainHierarchy();
+  cfg.prefetch.enabled = true;
+  CacheHierarchy whole = MakeDomainHierarchy(cfg);
+  CacheHierarchy per_line = MakeDomainHierarchy(cfg);
+  const std::uint64_t line = cfg.line_bytes;
+  constexpr std::uint64_t kSizes[] = {1, 2, 4, 8, 8, 8, 16, 64, 96};
+  constexpr AccessKind kKinds[] = {AccessKind::kInstFetch, AccessKind::kLoad,
+                                   AccessKind::kStore};
+
+  Xoshiro256 rng(15);
+  for (int step = 0; step < 20000; ++step) {
+    // Two 8 KiB regions, one homed in each domain.
+    const mem::VirtAddr addr = (rng.NextBelow(2) != 0 ? kDomain1Base : 0x40000) +
+                               rng.NextBelow(KiB(8));
+    const std::uint64_t roll = rng.NextBelow(100);
+    if (roll < 2) {
+      const std::uint64_t n = 1 + rng.NextBelow(512);
+      whole.StashDeliver(addr, n);
+      per_line.StashDeliver(addr, n);
+      continue;
+    }
+    if (roll < 4) {
+      const std::uint64_t n = 1 + rng.NextBelow(512);
+      whole.DramDeliver(addr, n);
+      per_line.DramDeliver(addr, n);
+      continue;
+    }
+    const auto core = static_cast<std::uint32_t>(rng.NextBelow(cfg.cores));
+    const std::uint64_t size = kSizes[rng.NextBelow(std::size(kSizes))];
+    const AccessKind kind = kKinds[rng.NextBelow(std::size(kKinds))];
+
+    HitLevel whole_level = HitLevel::kDram;
+    const Cycles whole_cost = whole.Access(core, addr, size, kind, &whole_level);
+    HitLevel line_level = HitLevel::kDram;
+    Cycles line_cost = 0;
+    for (mem::VirtAddr a = addr & ~(line - 1); a < addr + size; a += line) {
+      line_cost += per_line.AccessLine(core, a, kind, &line_level);
+    }
+    ASSERT_EQ(whole_cost, line_cost) << "step " << step;
+    ASSERT_EQ(whole_level, line_level) << "step " << step;
+    ASSERT_TRUE(whole.stats() == per_line.stats()) << "step " << step;
+  }
+  EXPECT_GT(whole.stats().l1_hits, 2000u);  // the stream exercised L1 hits
+
+  for (std::uint32_t core = 0; core < cfg.cores; ++core) {
+    for (const mem::VirtAddr base : {mem::VirtAddr{0x40000}, kDomain1Base}) {
+      for (mem::VirtAddr a = base; a < base + KiB(8) + line; a += line) {
+        ASSERT_EQ(whole.ProbeL1(core, a), per_line.ProbeL1(core, a));
+        ASSERT_EQ(whole.ProbeL2(core, a), per_line.ProbeL2(core, a));
+        ASSERT_EQ(whole.ProbeL3(core, a), per_line.ProbeL3(core, a));
+        ASSERT_EQ(whole.ProbeLLC(a), per_line.ProbeLLC(a));
+      }
+    }
+  }
 }
 
 }  // namespace

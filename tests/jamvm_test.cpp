@@ -997,5 +997,103 @@ TEST_F(InterpreterTest, ConfineBranchCyclesAreCharged) {
   EXPECT_EQ(priced.cycles - cheap.cycles, 17u * 100u);
 }
 
+// Self-modifying code on the RWX text LoadRaw builds: each instruction is
+// decoded once per Execute call, so these pin that a rewrite of code the
+// call already ran is seen by the next fetch.
+
+std::uint64_t EncodingOf(const Instr& in) {
+  std::uint8_t buf[kInstrBytes];
+  Encode(in, buf);
+  std::uint64_t word = 0;
+  std::memcpy(&word, buf, sizeof(word));
+  return word;
+}
+
+TEST_F(InterpreterTest, StoreOverLaterInstructionIsExecuted) {
+  // `two` sits after the caller in the text. The jam runs it once, stores
+  // a new encoding over its first instruction, and runs it again.
+  const auto entry = LoadRaw(R"(
+    f:
+      mov s0, lr
+      call two
+      mov t1, a0
+      lea t0, two
+      std a1, [t0]
+      call two
+      muli t1, t1, 10
+      add a0, a0, t1
+      jalr zr, s0, 0
+    two:
+      movi a0, 1
+      ret
+  )");
+  const auto r = Run(entry, {0, EncodingOf({Opcode::kMovi, kA0, 0, 0, 2})});
+  ASSERT_TRUE(r.status.ok()) << r.status;
+  EXPECT_EQ(r.return_value, 12u);  // 1 from the old bytes, then 2
+}
+
+TEST_F(InterpreterTest, LoopPatchesAnInstructionItAlreadyRan) {
+  // a0 = iterations, a1 = new encoding, a2 = the iteration that patches
+  // `inc` (add 1 -> add 100) just before running it.
+  const auto entry = LoadRaw(R"(
+    f:
+      mov t1, zr
+      mov t2, zr
+    .loop:
+      beq t2, a0, .done
+      bne t2, a2, inc
+      lea t0, inc
+      std a1, [t0]
+    inc:
+      addi t1, t1, 1
+      addi t2, t2, 1
+      jmp .loop
+    .done:
+      mov a0, t1
+      ret
+  )");
+  const std::uint64_t k = 3;
+  const auto r = Run(
+      entry, {10, EncodingOf({Opcode::kAddi, kT0 + 1, kT0 + 1, 0, 100}), k});
+  ASSERT_TRUE(r.status.ok()) << r.status;
+  EXPECT_EQ(r.return_value, k * 1 + (10 - k) * 100);
+}
+
+TEST_F(InterpreterTest, NativeCopyOverExecutedCodeIsExecuted) {
+  // tc_memcpy (a0 = its handle) copies the 8 bytes at a1 over `two` after
+  // the jam already ran it.
+  NativeTable natives;
+  ASSERT_TRUE(RegisterStandardNatives(natives, {}).ok());
+  const auto memcpy_idx = natives.IndexOf("tc_memcpy");
+  ASSERT_TRUE(memcpy_idx.ok());
+  const auto patch = mem_.Allocate(64, 64, mem::Perm::kRW, "patch");
+  ASSERT_TRUE(patch.ok());
+  ASSERT_TRUE(
+      mem_.StoreU64(*patch, EncodingOf({Opcode::kMovi, kA0, 0, 0, 2})).ok());
+
+  const auto entry = LoadRaw(R"(
+    f:
+      mov s0, lr
+      mov s1, a0
+      mov s2, a1
+      call two
+      mov s3, a0
+      lea a0, two
+      mov a1, s2
+      movi a2, 8
+      jalr lr, s1, 0
+      call two
+      muli s3, s3, 10
+      add a0, a0, s3
+      jalr zr, s0, 0
+    two:
+      movi a0, 1
+      ret
+  )");
+  const auto r = Run(entry, {MakeNativeHandle(*memcpy_idx), *patch}, &natives);
+  ASSERT_TRUE(r.status.ok()) << r.status;
+  EXPECT_EQ(r.return_value, 12u);  // 1 from the old bytes, then 2
+}
+
 }  // namespace
 }  // namespace twochains::vm
