@@ -13,15 +13,10 @@
 // headline: the hot path must move measurably fewer bytes per request.
 //
 // `--json` additionally writes BENCH_kv_serving.json (CI artifact);
-// `--quick` shrinks the windows for smoke runs; `--lanes N` adds a
-// lane-scaling section (the headline cached row at 1 vs N engine lanes:
-// wall-clock speedup, simulated results required identical).
-#include <chrono>
+// `--quick` shrinks the windows for smoke runs.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "benchlib/openloop.hpp"
@@ -46,17 +41,6 @@ struct ServingRow {
   double bytes_per_req = 0;
   bool slo_met = false;
 };
-
-/// Value of `flag N` on the command line, or @p fallback when absent.
-std::uint32_t FlagValueU32(int argc, char** argv, const char* flag,
-                           std::uint32_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return static_cast<std::uint32_t>(std::atoi(argv[i + 1]));
-    }
-  }
-  return fallback;
-}
 
 OpenLoopConfig RowConfig(double offered_mops, bool cached,
                          std::uint64_t requests) {
@@ -191,51 +175,6 @@ int main(int argc, char** argv) {
   ok &= ShapeCheck("cache-off run sends no slim frames",
                    cold.result.jam.by_handle_sends == 0);
   ok &= ShapeCheck("cached run meets the p99 SLO at 1.0M/s", warm.slo_met);
-
-  const std::uint32_t lanes = FlagValueU32(argc, argv, "--lanes", 1);
-  if (lanes > 1) {
-    // Lane scaling: the headline cached row, wall-clock timed at 1 vs N
-    // engine lanes. Lanes buy wall-clock only — every simulated number
-    // (latency percentiles included) must come back identical.
-    const auto timed = [requests](std::uint32_t n) {
-      OpenLoopConfig config = RowConfig(1.0, true, requests);
-      config.lanes = n;
-      const auto start = std::chrono::steady_clock::now();
-      OpenLoopResult result = MustOk(RunKvOpenLoop(config), "lane scaling");
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (!result.ok) {
-        std::fprintf(stderr, "lane scaling failed: %s\n",
-                     result.error.c_str());
-        std::abort();
-      }
-      return std::make_pair(std::move(result), seconds);
-    };
-    const auto [one, one_seconds] = timed(1);
-    const auto [laned, laned_seconds] = timed(lanes);
-    std::printf(
-        "\nlane scaling, by-handle @1.0M/s (%u hardware threads):\n"
-        "  1 lane : %.3fs wall  p50 %llu ps  p99 %llu ps\n"
-        "  %u lanes: %.3fs wall  p50 %llu ps  p99 %llu ps\n"
-        "  wall-clock speedup: %.2fx\n",
-        std::thread::hardware_concurrency(), one_seconds,
-        static_cast<unsigned long long>(one.latency.Percentile(0.50)),
-        static_cast<unsigned long long>(one.latency.Percentile(0.99)), lanes,
-        laned_seconds,
-        static_cast<unsigned long long>(laned.latency.Percentile(0.50)),
-        static_cast<unsigned long long>(laned.latency.Percentile(0.99)),
-        one_seconds / laned_seconds);
-    ok &= ShapeCheck(
-        "laned serving reproduces single-lane results exactly",
-        laned.completed == one.completed &&
-            laned.wire_bytes == one.wire_bytes &&
-            laned.duration == one.duration &&
-            laned.latency.Percentile(0.50) == one.latency.Percentile(0.50) &&
-            laned.latency.Percentile(0.99) == one.latency.Percentile(0.99) &&
-            laned.latency.Percentile(0.999) == one.latency.Percentile(0.999));
-  }
 
   if (HasFlag(argc, argv, "--json")) {
     WriteJson("BENCH_kv_serving.json", rows);

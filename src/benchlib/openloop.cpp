@@ -1,7 +1,6 @@
 #include "benchlib/openloop.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -35,20 +34,15 @@ struct Link {
   bool waiting = false;
 };
 
-// The driver is lane-partitioned so `config.lanes > 1` runs race-free and
-// byte-identical to single-lane: every mutable field below is written by
-// exactly one engine lane. ClientState belongs to its client host's lane
-// (arrival generator, flow control, send counters); ShardState belongs to
-// its shard host's lane (completion matching, latency). The only
-// client->shard handoff — the arrival stamp a completion is matched
-// against — travels as an engine event homed to the shard's lane, posted
-// at Now() + lookahead so it lands before the message it describes (the
-// NIC adds doorbell + serialization on top of the wire latency the
-// lookahead is derived from). Partials merge in host order after the run.
+// The driver keeps per-host partials: ClientState for each client host
+// (arrival generator, flow control, send counters), ShardState for each
+// shard host (completion matching, latency). A send records its arrival
+// stamp straight into the shard's pending map, which the executed hook
+// matches against. Partials merge in host order after the run.
 
-/// Per-client-host open-loop state; every field is written only by events
-/// on this host's lane. Each host draws its own Poisson process (rate/C),
-/// so the merged offered load matches OpenLoopConfig.offered_rate_mops.
+/// Per-client-host open-loop state. Each host draws its own Poisson process
+/// (rate/C), so the merged offered load matches
+/// OpenLoopConfig.offered_rate_mops.
 struct ClientState {
   Xoshiro256 rng{1};
   std::uint64_t quota = 0;      ///< this host's share of config.requests
@@ -69,8 +63,8 @@ struct ClientState {
   std::vector<Link> links;  ///< per shard
 };
 
-/// Per-shard completion state; written only by events on the shard host's
-/// lane (the executed hook and the arrival-record handoff events).
+/// Per-shard completion state: arrival stamps recorded at send time, matched
+/// by the shard's executed hook.
 struct ShardState {
   /// In-flight requests, keyed by (from peer << 32) | sn.
   std::map<std::uint64_t, Pending> pending;
@@ -91,8 +85,6 @@ struct Ctx {
   const OpenLoopConfig* config = nullptr;
   core::Fabric* fabric = nullptr;
   jamlib::KvShardMap shard_map{1, 0};
-  /// Cross-lane handoff horizon: the engine's conservative lookahead.
-  PicoTime record_horizon = 1;
 
   std::vector<ClientState> clients;  ///< [client host]
   std::vector<ShardState> shards;    ///< [shard]
@@ -103,10 +95,8 @@ struct Ctx {
   /// (what ReceivedMessage::from reports).
   std::vector<std::vector<core::PeerId>> rx_peer;
 
-  /// Read at the window boundary (all lanes barrier-parked), written by
-  /// whichever lane fails first; atomic only to make the flag itself
-  /// race-free.
-  std::atomic<bool> failed{false};
+  /// Set by the first failed send; stops the arrival generators and the run.
+  bool failed = false;
 
   OpenLoopResult result;  ///< merged after the run; untouched during it
 };
@@ -121,9 +111,8 @@ std::uint64_t ShareOf(std::uint64_t total, std::uint32_t parts,
 }
 
 /// Sends everything the link's backlog holds while slots last; parks a
-/// slot waiter when flow control blocks mid-backlog. Runs on client
-/// @p client's lane (generator events and slot-free callbacks both home
-/// there); the arrival record rides a homed event to the shard's lane.
+/// slot waiter when flow control blocks mid-backlog. Each send records its
+/// arrival stamp in the shard's pending map.
 void DrainLink(const std::shared_ptr<Ctx>& ctx, std::uint32_t client,
                std::uint32_t shard) {
   ClientState& cs = ctx->clients[client];
@@ -150,22 +139,12 @@ void DrainLink(const std::shared_ptr<Ctx>& ctx, std::uint32_t client,
                                  core::Invoke::kInjected, args, {});
     if (!receipt.ok()) {
       cs.error = "send failed: " + receipt.status().ToString();
-      ctx->failed.store(true, std::memory_order_relaxed);
+      ctx->failed = true;
       return;
     }
     ++cs.sent;
-    // Hand the arrival stamp to the shard's lane. At Now() + lookahead the
-    // record sorts strictly before the message's own rx event (which pays
-    // doorbell + serialization on top of the same wire latency), so the
-    // executed hook always finds it — at every executor count.
-    sim::Engine& engine = ctx->fabric->engine();
-    const std::uint64_t key =
-        PendingKey(ctx->rx_peer[shard][client], receipt->sn);
-    engine.ScheduleAtOn(
-        ctx->config->client_hosts + shard,
-        engine.Now() + ctx->record_horizon,
-        [ctx, shard, key, meta]() { ctx->shards[shard].pending[key] = meta; },
-        "openloop.record");
+    ctx->shards[shard].pending[PendingKey(ctx->rx_peer[shard][client],
+                                          receipt->sn)] = meta;
   }
 }
 
@@ -174,7 +153,7 @@ void DrainLink(const std::shared_ptr<Ctx>& ctx, std::uint32_t client,
 /// link; schedule the host's next arrival.
 void Arrive(const std::shared_ptr<Ctx>& ctx, std::uint32_t client) {
   ClientState& cs = ctx->clients[client];
-  if (ctx->failed.load(std::memory_order_relaxed) || cs.scheduled >= cs.quota) {
+  if (ctx->failed || cs.scheduled >= cs.quota) {
     return;
   }
   ++cs.scheduled;
@@ -220,9 +199,8 @@ void Arrive(const std::shared_ptr<Ctx>& ctx, std::uint32_t client) {
   }
 }
 
-/// Completion hook for shard @p shard (runs on the shard host's lane):
-/// matches executed jams back to their arrival stamps; reroutes
-/// cache-missed frames to the resend FIFO.
+/// Completion hook for shard @p shard: matches executed jams back to
+/// their arrival stamps; reroutes cache-missed frames to the resend FIFO.
 void OnShardExecuted(const std::shared_ptr<Ctx>& ctx, std::uint32_t shard,
                      const core::ReceivedMessage& msg) {
   ShardState& ss = ctx->shards[shard];
@@ -301,8 +279,8 @@ void AccumulateJamStats(const core::JamCacheStats& s, std::int64_t sign,
   add(into->resends, s.resends);
 }
 
-/// Folds the lane-partitioned partials into the flat result, in host
-/// order, so the merge itself is deterministic. Latency percentiles are
+/// Folds the per-host partials into the flat result, in host order, so
+/// the merge itself is deterministic. Latency percentiles are
 /// order-independent anyway (nearest-rank over the multiset).
 void MergePartials(Ctx& ctx) {
   OpenLoopResult& r = ctx.result;
@@ -353,7 +331,6 @@ StatusOr<OpenLoopResult> RunKvOpenLoop(const OpenLoopConfig& config) {
   opts.topology = core::Topology::kFullMesh;
   opts.runtime = config.runtime;
   opts.runtime.jam_cache = config.jam_cache;
-  opts.engine.lanes = config.lanes;
   auto fabric = std::make_unique<core::Fabric>(opts);
   Status loaded =
       fabric->BuildAndLoad(jamlib::MakeJamlibPackageBuilder(), "tcjamlib");
@@ -363,7 +340,6 @@ StatusOr<OpenLoopResult> RunKvOpenLoop(const OpenLoopConfig& config) {
   ctx->config = &config;
   ctx->fabric = fabric.get();
   ctx->shard_map = jamlib::KvShardMap(config.shards, config.client_hosts);
-  ctx->record_horizon = fabric->engine().Lookahead();
   ctx->shards.resize(config.shards);
   ctx->result.per_shard_executed.assign(config.shards, 0);
 
@@ -417,11 +393,8 @@ StatusOr<OpenLoopResult> RunKvOpenLoop(const OpenLoopConfig& config) {
     fabric->engine().ScheduleAtOn(
         c, started + 1, [ctx, c]() { Arrive(ctx, c); }, "openloop-arrival");
   }
-  // Exactly config.requests arrivals are generated and each completes
-  // once, so the laned window-granular condition check cannot overshoot
-  // the sample count — results stay identical at every lane count.
   const bool drained = fabric->RunUntil([&ctx]() {
-    if (ctx->failed.load(std::memory_order_relaxed)) return true;
+    if (ctx->failed) return true;
     std::uint64_t done = 0;
     for (const ShardState& ss : ctx->shards) done += ss.executed;
     return done >= ctx->config->requests;
@@ -433,7 +406,7 @@ StatusOr<OpenLoopResult> RunKvOpenLoop(const OpenLoopConfig& config) {
   MergePartials(*ctx);
   OpenLoopResult result = std::move(ctx->result);
 
-  if (ctx->failed.load(std::memory_order_relaxed)) {
+  if (ctx->failed) {
     return StatusOr<OpenLoopResult>(std::move(result));
   }
   if (result.completed < config.requests) {
@@ -442,9 +415,9 @@ StatusOr<OpenLoopResult> RunKvOpenLoop(const OpenLoopConfig& config) {
     return StatusOr<OpenLoopResult>(std::move(result));
   }
 
-  // Duration from the shard-recorded completion stamps, not the idle
-  // engine clock: a laned run's final window may fire trailing NIC events
-  // past the last completion, and those must not skew the rate.
+  // Duration from the shard-recorded completion stamps, not the engine
+  // clock, so trailing NIC events past the last completion cannot skew
+  // the rate.
   PicoTime last_completed = started;
   for (const ShardState& ss : ctx->shards) {
     last_completed = std::max(last_completed, ss.last_completed_at);

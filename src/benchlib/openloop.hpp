@@ -57,11 +57,6 @@ struct OpenLoopConfig {
   /// Runtime template for every host (jam_cache above overrides its
   /// jam_cache member).
   core::RuntimeConfig runtime{};
-  /// Engine executor lanes (FabricOptions.engine.lanes): >1 shards event
-  /// execution by host under conservative lookahead. The driver keeps all
-  /// per-host state single-writer, so results are byte-identical at every
-  /// lane count — only wall-clock changes.
-  std::uint32_t lanes = 1;
 };
 
 /// What one run measured. `latency` is arrival -> jam executed, so queue

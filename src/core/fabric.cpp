@@ -7,37 +7,7 @@
 
 namespace twochains::core {
 
-namespace {
-
-// Laned execution needs a nonzero safe horizon: the smallest cross-host
-// event delta is the wire propagation latency, so that is the default
-// lookahead. A zero-latency wire leaves no horizon — fall back to a
-// single executor (results are identical either way, only slower).
-sim::EngineConfig EngineConfigFor(const FabricOptions& options) {
-  sim::EngineConfig cfg = options.engine;
-  if (cfg.lanes == 0) cfg.lanes = 1;
-  if (cfg.lookahead_ps == 0) {
-    double min_latency_ns = options.nic.wire_latency_ns;
-    if (options.topology == Topology::kTree) {
-      // Every switch hop is one switch-cable latency in the future, so
-      // the safe horizon is the smallest cable in the fabric.
-      min_latency_ns = std::min(min_latency_ns,
-                                std::max(0.0, options.switches.wire_latency_ns));
-    }
-    cfg.lookahead_ps = Nanoseconds(min_latency_ns);
-  }
-  if (cfg.lanes > 1 && cfg.lookahead_ps == 0) {
-    TC_WARN << "fabric: zero wire latency leaves no safe lookahead; "
-               "running single-lane";
-    cfg.lanes = 1;
-  }
-  return cfg;
-}
-
-}  // namespace
-
-Fabric::Fabric(FabricOptions options)
-    : options_(std::move(options)), engine_(EngineConfigFor(options_)) {
+Fabric::Fabric(FabricOptions options) : options_(std::move(options)) {
   if (options_.hosts == 0) {
     TC_WARN << "fabric: hosts=0 is not a fabric; building 1 host";
     options_.hosts = 1;
@@ -114,9 +84,8 @@ Fabric::Fabric(FabricOptions options)
     if (!st.ok() && cabling_error_.ok()) cabling_error_ = st;
   }
 
-  // One virtual lane per host — always, even when running single-lane, so
-  // scalar and laned runs assign identical event keys and every result is
-  // byte-identical across lane counts.
+  // One virtual lane per host: the engine keys same-time events by the
+  // scheduling host's lane, which fixes their order.
   engine_.SetVirtualLanes(options_.hosts);
 }
 

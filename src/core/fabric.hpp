@@ -89,12 +89,6 @@ struct FabricOptions {
   /// (a size mismatch is logged and the overrides are ignored).
   std::vector<net::HostConfig> host_overrides;
   net::NicConfig nic{};
-  /// Event-engine execution config. `engine.lanes > 1` shards event
-  /// execution by host lane under conservative lookahead; when
-  /// `engine.lookahead_ps` is 0 the fabric derives the safe horizon from
-  /// the NIC wire latency (the smallest cross-host event delta). Results
-  /// are byte-identical at every lane count.
-  sim::EngineConfig engine{};
   ucxs::ProtocolConfig protocol{};
   RuntimeConfig runtime{};
   /// Optional per-host runtime overrides (same contract as host_overrides):

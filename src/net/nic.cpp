@@ -221,8 +221,7 @@ Status Nic::PostSwitchedOp(Op op, mem::VirtAddr local_addr, Nic& dst) {
 
   // Hand the frame head to the first switch one cable latency after it
   // starts serializing (cut-through: the switch sees the head while the
-  // tail is still on this wire). The cable latency keeps the cross-lane
-  // schedule at or beyond the engine's lookahead horizon.
+  // tail is still on this wire).
   uplink_.sw->ScheduleIngress(std::move(op), this, &dst,
                               wire_start + Nanoseconds(uplink_.latency_ns));
   return Status::Ok();
@@ -299,8 +298,8 @@ void Nic::DeliverAt(PicoTime when, Op op, Nic* dst) {
 
 void Nic::FinishOp(Op op, const PutCompletion& completion) {
   // The sender-side CQE: one wire latency after delivery (the ack's return
-  // trip), back on this NIC's lane — which is also what keeps the schedule
-  // inside the lookahead horizon when lanes run in parallel. Skipped
+  // trip), back on this NIC's lane, so sender-side completion state is
+  // keyed and ordered with the sender's own events. Skipped
   // entirely when nothing observes it: no completion callback, and the
   // post-time fence estimate already covers the real delivery time.
   const PicoTime deliver = completion.delivered_at;

@@ -259,7 +259,7 @@ class ControlChannel {
       : engine_(engine), latency_(Microseconds(latency_us)) {}
 
   /// Registers the message handler for @p host_id. @p lane is the virtual
-  /// engine lane the handler runs on (the host's lane in a laned fabric).
+  /// engine lane the handler runs on (the host's lane in a fabric).
   void SetHandler(int host_id, Handler handler, std::uint32_t lane = 0);
 
   /// Sends @p payload to @p dst_host; its handler runs after the channel

@@ -33,9 +33,8 @@
 //
 // Determinism: all switch state is touched only from events on the
 // switch's own virtual lane (core::Fabric homes each switch one lane past
-// the hosts); every cross-lane hop is at least one cable latency in the
-// future, so the engine's conservative-lookahead sharding replays tree
-// fabrics byte-identically at any lane count.
+// the hosts), so same-time switch events fire in the engine's
+// (time, lane, seq) order.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +82,7 @@ class Switch {
   Switch& operator=(const Switch&) = delete;
 
   /// Virtual engine lane this switch's events run on. Must be set before
-  /// traffic flows when the fabric runs laned.
+  /// traffic flows.
   void set_lane(std::uint32_t lane) noexcept { lane_ = lane; }
   std::uint32_t lane() const noexcept { return lane_; }
 
@@ -155,8 +154,7 @@ class Switch {
 
   /// Entry point for the upstream hop (sender NIC or previous switch):
   /// schedules the ingress event on this switch's lane at the instant the
-  /// frame head arrives. @p head_arrival must be >= the caller's now plus
-  /// the engine lookahead (one cable latency guarantees it).
+  /// frame head arrives (one cable latency after the caller's now).
   void ScheduleIngress(Nic::Op op, Nic* src, Nic* dst, PicoTime head_arrival);
 
   /// Runs on this switch's lane when a frame head arrives: admit (or hold

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cassert>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace twochains::sim {
@@ -18,12 +14,10 @@ namespace {
 
 constexpr PicoTime kNoEvent = std::numeric_limits<PicoTime>::max();
 
-// Event slab geometry: chunks of 512 nodes. The chunk directory is reserved
-// up front so foreign threads can index it lock-free (Cancel) while the
-// owner appends.
+// Event slab geometry: chunks of 512 nodes, at most 2M in-flight events.
 constexpr std::uint32_t kChunkShift = 9;
 constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-constexpr std::uint32_t kMaxChunks = 4096;  // 2M in-flight events per shard
+constexpr std::uint32_t kMaxChunks = 4096;
 
 // Timing wheel: 2048 slots of 4096 ps (~8.4 us horizon). The window size
 // equals the wheel size, so an occupied slot maps to exactly one granule
@@ -35,28 +29,15 @@ constexpr std::uint32_t kWheelSlots = 2048;
 constexpr std::uint32_t kWheelMask = kWheelSlots - 1;
 constexpr std::uint32_t kBitmapWords = kWheelSlots / 64;
 
-// Node lifecycle, packed with the generation into one atomic word:
-// gs = (generation << 32) | state. Cancel is a single CAS
-// (g|kScheduled) -> (g|kCancelled); the generation bump at free makes a
-// stale EventId miss the CAS instead of corrupting a reused slot, which is
-// also what makes a concurrent cancel/fire race benign.
-constexpr std::uint64_t kStFree = 0;
-constexpr std::uint64_t kStScheduled = 1;
-constexpr std::uint64_t kStCancelled = 2;
-constexpr std::uint64_t kStFiring = 3;
+// Node lifecycle. The generation bumps when a node is freed, so a stale
+// EventId (or a queue entry left behind by a sweep) names an older
+// generation and misses instead of touching the slot's new tenant.
+enum class NodeState : std::uint8_t { kFree, kScheduled, kCancelled };
 
-constexpr std::uint64_t Pack(std::uint32_t gen, std::uint64_t state) noexcept {
-  return (std::uint64_t{gen} << 32) | state;
-}
-constexpr std::uint32_t GenOf(std::uint64_t gs) noexcept {
-  return static_cast<std::uint32_t>(gs >> 32);
-}
-
-// EventId layout: [63:56] shard | [55:32] slot+1 | [31:0] generation.
-// Slot 0 encodes as 1 so id 0 stays the "not cancellable" sentinel.
-constexpr EventId MakeId(std::uint32_t shard, std::uint32_t slot,
-                         std::uint32_t gen) noexcept {
-  return (std::uint64_t{shard} << 56) | (std::uint64_t{slot + 1} << 32) | gen;
+// EventId layout: [63:32] slot+1 | [31:0] generation. Slot 0 encodes as 1
+// so id 0 is never a live event.
+constexpr EventId MakeId(std::uint32_t slot, std::uint32_t gen) noexcept {
+  return (std::uint64_t{slot + 1} << 32) | gen;
 }
 
 struct EventNode {
@@ -65,7 +46,8 @@ struct EventNode {
   SmallFn cb;
   const char* tag = nullptr;
   EventNode* next_free = nullptr;
-  std::atomic<std::uint64_t> gs{Pack(0, kStFree)};
+  std::uint32_t gen = 0;
+  NodeState state = NodeState::kFree;
   std::uint32_t slot = 0;
   std::uint32_t home_lane = 0;
 };
@@ -96,47 +78,9 @@ inline void HeapPop(std::vector<LightItem>& h) {
   h.pop_back();
 }
 
-// A cross-shard schedule, parked until the target shard drains its inbox at
-// the next round boundary.
-struct InboxItem {
-  PicoTime when;
-  std::uint64_t key_lo;
-  const char* tag;
-  std::uint32_t lane;
-  SmallFn cb;
-};
-
-struct alignas(64) Shard {
-  // Ordering structures (owner thread only).
-  std::vector<LightItem> active;    // current-granule min-heap
-  std::vector<LightItem> overflow;  // beyond-horizon min-heap
-  std::array<std::vector<LightItem>, kWheelSlots> buckets;
-  std::uint64_t bitmap[kBitmapWords] = {};
-  std::uint64_t cursor_granule = 0;
-  std::size_t bucket_items = 0;
-  PicoTime now = 0;
-
-  // Slab (owner allocates/frees; Cancel from any thread only touches gs).
-  std::vector<std::unique_ptr<EventNode[]>> chunks;
-  std::atomic<std::uint32_t> chunk_count{0};
-  EventNode* free_head = nullptr;
-
-  // Counters. fired is owner-written and only read across threads behind
-  // the round barrier; live/cancelled take cross-thread updates.
-  std::uint64_t fired = 0;
-  std::atomic<std::uint64_t> live{0};
-  std::atomic<std::uint64_t> cancelled_pending{0};
-
-  // Cross-shard inbox.
-  std::mutex inbox_mu;
-  std::vector<InboxItem> inbox;
-  std::vector<InboxItem> inbox_scratch;
-
-  // Published at the plan barrier.
-  PicoTime local_min = kNoEvent;
-
-  Shard() { chunks.reserve(kMaxChunks); }
-};
+inline bool IsLive(const LightItem& it) noexcept {
+  return it.node->gen == it.gen && it.node->state == NodeState::kScheduled;
+}
 
 // First occupied wheel slot strictly after `after` in circular order, or -1.
 // Scans whole bitmap words; the final pass re-checks the starting word's low
@@ -156,90 +100,63 @@ int NextOccupiedSlot(const std::uint64_t* bm, std::uint32_t after) noexcept {
   return -1;
 }
 
-struct TlsCtx {
-  const void* impl = nullptr;
-  Shard* shard = nullptr;
-  std::uint32_t lane = 0;
-};
-thread_local TlsCtx g_tls;
-
 }  // namespace
 
 struct Engine::Impl {
-  EngineConfig config;
+  // Ordering structures.
+  std::vector<LightItem> active;    // current-granule min-heap
+  std::vector<LightItem> overflow;  // beyond-horizon min-heap
+  std::array<std::vector<LightItem>, kWheelSlots> buckets;
+  std::uint64_t bitmap[kBitmapWords] = {};
+  std::uint64_t cursor_granule = 0;
+  std::size_t bucket_items = 0;
+  PicoTime now = 0;
+
+  // Slab.
+  std::vector<std::unique_ptr<EventNode[]>> chunks;
+  EventNode* free_head = nullptr;
+
+  std::uint64_t fired = 0;
+  std::uint64_t live = 0;
+  std::uint64_t cancelled_pending = 0;
+
   std::uint32_t virtual_lanes = 1;
-  std::uint32_t shard_count = 1;
-  PicoTime lookahead = 1;
-  std::vector<std::unique_ptr<Shard>> shards;
-  struct alignas(64) LaneSeq {
-    std::uint64_t next = 0;
-  };
-  std::vector<LaneSeq> lane_seq;
+  std::vector<std::uint64_t> lane_seq{0};  // next sequence number per lane
   std::function<void(PicoTime, const char*)> hook;
-  std::uint64_t processed_base = 0;  // fired counts from torn-down shard sets
 
-  std::atomic<bool> stop{false};
-  bool parallel_run = false;  // a laned Run*() is in flight
+  bool in_run = false;
+  std::uint32_t lane = 0;  // lane of the firing event while in_run
+  bool stop = false;
 
-  // Laned-run round state, written by the serial section at the plan
-  // barrier (the barrier's release/acquire publishes the plain fields).
-  enum class Mode { kRun, kUntil, kCondition };
-  Mode mode = Mode::kRun;
-  PicoTime deadline = 0;
-  const std::function<bool()>* condition = nullptr;
-  bool condition_met = false;
-  std::atomic<PicoTime> window_end{0};
-  std::atomic<bool> finished{false};
-
-  // Sense-reversing spin barrier across the executor shards.
-  std::atomic<std::uint32_t> arrivals{0};
-  std::atomic<std::uint64_t> phase{0};
-
-  // Worker pool: shard_count-1 persistent threads, parked on the condition
-  // variable between runs; main executes shard 0.
-  std::vector<std::thread> workers;
-  std::mutex pool_mu;
-  std::condition_variable pool_cv;
-  std::condition_variable done_cv;
-  std::uint64_t epoch = 0;
-  std::uint32_t done_count = 0;
-  bool shutdown = false;
-
-  ~Impl() { TeardownWorkers(); }
-
-  // ---------------------------------------------------------------- context
-
-  bool InRun() const noexcept {
-    return g_tls.impl == this && g_tls.shard != nullptr;
-  }
-
-  PicoTime IdleNow() const noexcept {
-    PicoTime m = 0;
-    for (const auto& s : shards) m = std::max(m, s->now);
-    return m;
-  }
-
-  PicoTime ContextNow() const noexcept {
-    return InRun() ? g_tls.shard->now : IdleNow();
-  }
-
-  struct TlsGuard {
-    TlsCtx saved;
-    TlsGuard(const Impl* impl, Shard* shard) : saved(g_tls) {
-      g_tls = TlsCtx{impl, shard, 0};
+  // Marks a Run*() call in flight; restores the outer context on exit so a
+  // run nested inside a callback hands the caller back its own lane.
+  struct RunScope {
+    Impl& impl;
+    bool saved_in_run;
+    std::uint32_t saved_lane;
+    explicit RunScope(Impl& i)
+        : impl(i), saved_in_run(i.in_run), saved_lane(i.lane) {
+      impl.in_run = true;
+      impl.lane = 0;
+      impl.stop = false;
     }
-    ~TlsGuard() { g_tls = saved; }
+    ~RunScope() {
+      impl.in_run = saved_in_run;
+      impl.lane = saved_lane;
+    }
   };
+
+  std::uint32_t ContextLane() const noexcept { return in_run ? lane : 0; }
 
   // ------------------------------------------------------------------- slab
 
-  EventNode* AllocNode(Shard& sh) {
-    EventNode* n = sh.free_head;
+  EventNode* AllocNode() {
+    EventNode* n = free_head;
     if (n != nullptr) {
-      sh.free_head = n->next_free;
+      free_head = n->next_free;
       return n;
     }
-    const std::uint32_t c = sh.chunk_count.load(std::memory_order_relaxed);
+    const auto c = static_cast<std::uint32_t>(chunks.size());
     if (c == kMaxChunks) {
       std::fprintf(stderr, "sim::Engine: event slab exhausted (%u events)\n",
                    kMaxChunks * kChunkSize);
@@ -250,181 +167,154 @@ struct Engine::Impl {
       chunk[i].slot = c * kChunkSize + i;
     }
     for (std::uint32_t i = kChunkSize - 1; i >= 1; --i) {
-      chunk[i].next_free = sh.free_head;
-      sh.free_head = &chunk[i];
+      chunk[i].next_free = free_head;
+      free_head = &chunk[i];
     }
     EventNode* first = &chunk[0];
-    sh.chunks.push_back(std::move(chunk));
-    // Release so a foreign Cancel that reads the new count sees the chunk
-    // pointer it is about to index.
-    sh.chunk_count.store(c + 1, std::memory_order_release);
+    chunks.push_back(std::move(chunk));
     return first;
   }
 
-  void FreeNode(Shard& sh, EventNode* n, std::uint32_t gen) noexcept {
-    n->gs.store(Pack(gen + 1, kStFree), std::memory_order_relaxed);
+  void FreeNode(EventNode* n) noexcept {
+    ++n->gen;
+    n->state = NodeState::kFree;
     n->tag = nullptr;
-    n->next_free = sh.free_head;
-    sh.free_head = n;
+    n->next_free = free_head;
+    free_head = n;
   }
 
-  void FreeCancelled(Shard& sh, EventNode* n, std::uint32_t gen) noexcept {
+  void FreeCancelled(EventNode* n) noexcept {
     n->cb = SmallFn();  // release captured state now, not at reuse
-    FreeNode(sh, n, gen);
-    sh.cancelled_pending.fetch_sub(1, std::memory_order_relaxed);
+    FreeNode(n);
+    --cancelled_pending;
   }
 
   // -------------------------------------------------------------- the wheel
 
-  void InsertNode(Shard& sh, EventNode* n, std::uint32_t gen) {
+  void InsertNode(EventNode* n) {
     const std::uint64_t g = n->when >> kGranuleShift;
-    const LightItem it{n->when, n->key_lo, n, gen};
-    if (g <= sh.cursor_granule) {
-      assert(g == sh.cursor_granule || n->when >= sh.now);
-      HeapPush(sh.active, it);
-    } else if (g - sh.cursor_granule < kWheelSlots) {
+    const LightItem it{n->when, n->key_lo, n, n->gen};
+    if (g <= cursor_granule) {
+      assert(g == cursor_granule || n->when >= now);
+      HeapPush(active, it);
+    } else if (g - cursor_granule < kWheelSlots) {
       const std::uint32_t slot = static_cast<std::uint32_t>(g) & kWheelMask;
-      sh.bitmap[slot / 64] |= std::uint64_t{1} << (slot % 64);
-      sh.buckets[slot].push_back(it);
-      ++sh.bucket_items;
+      bitmap[slot / 64] |= std::uint64_t{1} << (slot % 64);
+      buckets[slot].push_back(it);
+      ++bucket_items;
     } else {
-      HeapPush(sh.overflow, it);
+      HeapPush(overflow, it);
     }
   }
 
   // Advances the cursor to the next occupied granule, draining that granule
   // from both the wheel bucket and the overflow heap into the active heap.
   // Returns false when no events remain anywhere.
-  bool AdvanceCursor(Shard& sh) {
+  bool AdvanceCursor() {
     const std::uint32_t cslot =
-        static_cast<std::uint32_t>(sh.cursor_granule) & kWheelMask;
+        static_cast<std::uint32_t>(cursor_granule) & kWheelMask;
     std::uint64_t bucket_granule = kNoEvent;
-    const int s = NextOccupiedSlot(sh.bitmap, cslot);
+    const int s = NextOccupiedSlot(bitmap, cslot);
     if (s >= 0) {
-      bucket_granule =
-          sh.cursor_granule +
-          ((static_cast<std::uint32_t>(s) - cslot) & kWheelMask);
+      bucket_granule = cursor_granule +
+                       ((static_cast<std::uint32_t>(s) - cslot) & kWheelMask);
     }
     const std::uint64_t overflow_granule =
-        sh.overflow.empty() ? kNoEvent
-                            : sh.overflow.front().when >> kGranuleShift;
+        overflow.empty() ? kNoEvent : overflow.front().when >> kGranuleShift;
     const std::uint64_t g = std::min(bucket_granule, overflow_granule);
     if (g == kNoEvent) return false;
-    sh.cursor_granule = g;
+    cursor_granule = g;
     if (bucket_granule == g) {
       const std::uint32_t slot = static_cast<std::uint32_t>(g) & kWheelMask;
-      sh.bitmap[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
-      auto& bucket = sh.buckets[slot];
-      sh.bucket_items -= bucket.size();
-      sh.active.insert(sh.active.end(), bucket.begin(), bucket.end());
+      bitmap[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+      auto& bucket = buckets[slot];
+      bucket_items -= bucket.size();
+      active.insert(active.end(), bucket.begin(), bucket.end());
       bucket.clear();
     }
-    while (!sh.overflow.empty() &&
-           (sh.overflow.front().when >> kGranuleShift) == g) {
-      sh.active.push_back(sh.overflow.front());
-      HeapPop(sh.overflow);
+    while (!overflow.empty() && (overflow.front().when >> kGranuleShift) == g) {
+      active.push_back(overflow.front());
+      HeapPop(overflow);
     }
-    std::make_heap(sh.active.begin(), sh.active.end(), ItemAfter{});
+    std::make_heap(active.begin(), active.end(), ItemAfter{});
     return true;
   }
 
-  PicoTime PeekMin(Shard& sh) {
-    // May surface a cancelled entry's timestamp: that only makes the global
-    // window conservative, never wrong, and the entry is reclaimed at pop.
-    if (sh.active.empty() && !AdvanceCursor(sh)) return kNoEvent;
-    return sh.active.front().when;
-  }
-
-  // Pops the next live event with when < limit and claims it for firing.
-  // Cancelled and stale entries encountered on the way are reclaimed
-  // without advancing time (matching the original engine's skip semantics).
-  EventNode* PopBefore(Shard& sh, PicoTime limit) {
+  // Pops the next live event with when < limit. Cancelled and stale entries
+  // encountered on the way are reclaimed without advancing time.
+  EventNode* PopBefore(PicoTime limit) {
     while (true) {
-      if (sh.active.empty() && !AdvanceCursor(sh)) return nullptr;
-      const LightItem item = sh.active.front();
+      if (active.empty() && !AdvanceCursor()) return nullptr;
+      const LightItem item = active.front();
       if (item.when >= limit) return nullptr;
-      HeapPop(sh.active);
+      HeapPop(active);
       EventNode* n = item.node;
-      const std::uint64_t want = Pack(item.gen, kStScheduled);
-      if (parallel_run) {
-        std::uint64_t expected = want;
-        if (!n->gs.compare_exchange_strong(expected, Pack(item.gen, kStFiring),
-                                           std::memory_order_acquire,
-                                           std::memory_order_relaxed)) {
-          if (expected == Pack(item.gen, kStCancelled)) FreeCancelled(sh, n, item.gen);
-          continue;  // cancelled, or stale after a sweep freed the node
-        }
-      } else {
-        const std::uint64_t cur = n->gs.load(std::memory_order_relaxed);
-        if (cur != want) {
-          if (cur == Pack(item.gen, kStCancelled)) FreeCancelled(sh, n, item.gen);
-          continue;
-        }
-        n->gs.store(Pack(item.gen, kStFiring), std::memory_order_relaxed);
-      }
-      return n;
+      if (IsLive(item)) return n;
+      if (n->gen == item.gen) FreeCancelled(n);
     }
   }
 
-  void Fire(Shard& sh, EventNode* n) {
-    sh.now = n->when;
-    g_tls.lane = n->home_lane;
-    ++sh.fired;
+  void Fire(EventNode* n) {
+    now = n->when;
+    lane = n->home_lane;
+    ++fired;
     if (hook) hook(n->when, n->tag != nullptr ? n->tag : "");
     SmallFn cb = std::move(n->cb);
-    FreeNode(sh, n, GenOf(n->gs.load(std::memory_order_relaxed)));
-    sh.live.fetch_sub(1, std::memory_order_relaxed);
+    FreeNode(n);
+    --live;
     cb();
+  }
+
+  // Fires every event with when < limit until the queue drains, Stop(), or
+  // @p done (checked after each event) holds. Returns true iff done held.
+  bool FireBefore(PicoTime limit, const std::function<bool()>* done) {
+    while (!stop) {
+      EventNode* n = PopBefore(limit);
+      if (n == nullptr) return false;
+      Fire(n);
+      if (done != nullptr && (*done)()) return true;
+    }
+    return false;
   }
 
   // ------------------------------------------------------------------ sweep
 
   // Reclaims cancelled nodes in place (slab scan + stale-entry filter) so
   // schedule/cancel churn cannot grow the slab: triggered when cancelled
-  // events dominate the queued population. Owner-thread only.
-  void MaybeSweep(Shard& sh) {
-    const std::uint64_t cancelled =
-        sh.cancelled_pending.load(std::memory_order_relaxed);
-    if (cancelled < 64) return;
-    const std::size_t queued =
-        sh.active.size() + sh.overflow.size() + sh.bucket_items;
-    if (cancelled * 2 < queued) return;
-    Sweep(sh);
+  // events dominate the queued population.
+  void MaybeSweep() {
+    if (cancelled_pending < 64) return;
+    const std::size_t queued = active.size() + overflow.size() + bucket_items;
+    if (cancelled_pending * 2 < queued) return;
+    Sweep();
   }
 
-  void Sweep(Shard& sh) {
-    const std::uint32_t chunks = sh.chunk_count.load(std::memory_order_relaxed);
-    for (std::uint32_t c = 0; c < chunks; ++c) {
-      EventNode* base = sh.chunks[c].get();
+  void Sweep() {
+    for (auto& chunk : chunks) {
       for (std::uint32_t i = 0; i < kChunkSize; ++i) {
-        EventNode& n = base[i];
-        const std::uint64_t gs = n.gs.load(std::memory_order_relaxed);
-        if ((gs & 0xFFFFFFFFu) == kStCancelled) FreeCancelled(sh, &n, GenOf(gs));
+        if (chunk[i].state == NodeState::kCancelled) FreeCancelled(&chunk[i]);
       }
     }
-    const auto stale = [](const LightItem& it) noexcept {
-      return it.node->gs.load(std::memory_order_relaxed) !=
-             Pack(it.gen, kStScheduled);
-    };
+    const auto stale = [](const LightItem& it) noexcept { return !IsLive(it); };
     auto filter_heap = [&](std::vector<LightItem>& h) {
       h.erase(std::remove_if(h.begin(), h.end(), stale), h.end());
       std::make_heap(h.begin(), h.end(), ItemAfter{});
     };
-    filter_heap(sh.active);
-    filter_heap(sh.overflow);
+    filter_heap(active);
+    filter_heap(overflow);
     for (std::uint32_t w = 0; w < kBitmapWords; ++w) {
-      std::uint64_t word = sh.bitmap[w];
+      std::uint64_t word = bitmap[w];
       while (word != 0) {
         const std::uint32_t slot =
             w * 64 + static_cast<std::uint32_t>(std::countr_zero(word));
         word &= word - 1;
-        auto& bucket = sh.buckets[slot];
+        auto& bucket = buckets[slot];
         const std::size_t before = bucket.size();
         bucket.erase(std::remove_if(bucket.begin(), bucket.end(), stale),
                      bucket.end());
-        sh.bucket_items -= before - bucket.size();
+        bucket_items -= before - bucket.size();
         if (bucket.empty()) {
-          sh.bitmap[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+          bitmap[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
         }
       }
     }
@@ -432,328 +322,56 @@ struct Engine::Impl {
 
   // ------------------------------------------------------------- scheduling
 
-  EventId ScheduleOn(std::uint32_t lane, PicoTime when, SmallFn cb,
+  // Keys the event by its source lane: the firing event's lane inside a
+  // run, the target lane from idle.
+  EventId ScheduleOn(std::uint32_t target, PicoTime when, SmallFn cb,
                      const char* tag) {
-    assert(lane < virtual_lanes);
-    if (lane >= virtual_lanes) lane %= virtual_lanes;
-    std::uint32_t src_lane;
-    Shard* cur = nullptr;
-    PicoTime floor;
-    if (InRun()) {
-      cur = g_tls.shard;
-      src_lane = g_tls.lane;
-      floor = cur->now;
-    } else {
-      src_lane = lane;
-      floor = IdleNow();
-    }
-    if (when < floor) when = floor;
-    const std::uint64_t key_lo =
-        (std::uint64_t{src_lane} << 48) | lane_seq[src_lane].next++;
-    const std::uint32_t shard_idx = lane % shard_count;
-    Shard& dst = *shards[shard_idx];
-    if (&dst == cur || !parallel_run) {
-      // Same shard, or no laned run in flight: this thread owns dst.
-      EventNode* n = AllocNode(dst);
-      const std::uint32_t gen =
-          GenOf(n->gs.load(std::memory_order_relaxed));
-      n->when = when;
-      n->key_lo = key_lo;
-      n->cb = std::move(cb);
-      n->tag = tag;
-      n->home_lane = lane;
-      n->gs.store(Pack(gen, kStScheduled), std::memory_order_relaxed);
-      InsertNode(dst, n, gen);
-      dst.live.fetch_add(1, std::memory_order_relaxed);
-      return MakeId(shard_idx, n->slot, gen);
-    }
-    // Cross-shard during a laned run: the lookahead horizon is the safety
-    // contract — the target cannot have executed past it.
-    assert(cur == nullptr || when >= cur->now + lookahead);
-    dst.live.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> l(dst.inbox_mu);
-      dst.inbox.push_back(InboxItem{when, key_lo, tag, lane, std::move(cb)});
-    }
-    return 0;
+    assert(target < virtual_lanes);
+    if (target >= virtual_lanes) target %= virtual_lanes;
+    const std::uint32_t src_lane = in_run ? lane : target;
+    if (when < now) when = now;
+    EventNode* n = AllocNode();
+    n->when = when;
+    n->key_lo = (std::uint64_t{src_lane} << 48) | lane_seq[src_lane]++;
+    n->cb = std::move(cb);
+    n->tag = tag;
+    n->home_lane = target;
+    n->state = NodeState::kScheduled;
+    InsertNode(n);
+    ++live;
+    return MakeId(n->slot, n->gen);
   }
 
   bool CancelId(EventId id) {
-    const auto shard_idx = static_cast<std::uint32_t>(id >> 56);
-    const auto slot_p1 = static_cast<std::uint32_t>((id >> 32) & 0xFFFFFFu);
+    const auto slot_p1 = static_cast<std::uint32_t>(id >> 32);
     const auto gen = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-    if (slot_p1 == 0 || shard_idx >= shard_count) return false;
-    Shard& sh = *shards[shard_idx];
+    if (slot_p1 == 0 || slot_p1 > chunks.size() * kChunkSize) return false;
     const std::uint32_t slot = slot_p1 - 1;
-    if (slot >= sh.chunk_count.load(std::memory_order_acquire) * kChunkSize) {
-      return false;
-    }
-    EventNode* n = &sh.chunks[slot >> kChunkShift][slot & (kChunkSize - 1)];
-    std::uint64_t expected = Pack(gen, kStScheduled);
-    if (!n->gs.compare_exchange_strong(expected, Pack(gen, kStCancelled),
-                                       std::memory_order_relaxed)) {
+    EventNode* n = &chunks[slot >> kChunkShift][slot & (kChunkSize - 1)];
+    if (n->gen != gen || n->state != NodeState::kScheduled) {
       return false;  // already fired, already cancelled, or slot reused
     }
-    sh.live.fetch_sub(1, std::memory_order_relaxed);
-    sh.cancelled_pending.fetch_add(1, std::memory_order_relaxed);
-    // Reclaim eagerly only when this thread owns the shard's structures;
-    // foreign cancels are swept at the target's next round boundary.
-    if ((g_tls.impl == this && g_tls.shard == &sh) || !parallel_run) {
-      MaybeSweep(sh);
-    }
+    n->state = NodeState::kCancelled;
+    --live;
+    ++cancelled_pending;
+    MaybeSweep();
     return true;
-  }
-
-  // ----------------------------------------------------------- scalar runs
-
-  void RunScalar() {
-    stop.store(false, std::memory_order_relaxed);
-    Shard& sh = *shards[0];
-    TlsGuard ctx(this, &sh);
-    while (!stop.load(std::memory_order_relaxed)) {
-      EventNode* n = PopBefore(sh, kNoEvent);
-      if (n == nullptr) break;
-      Fire(sh, n);
-    }
-  }
-
-  void RunUntilScalar(PicoTime deadline_ps) {
-    stop.store(false, std::memory_order_relaxed);
-    Shard& sh = *shards[0];
-    TlsGuard ctx(this, &sh);
-    const PicoTime limit =
-        deadline_ps == kNoEvent ? kNoEvent : deadline_ps + 1;
-    while (!stop.load(std::memory_order_relaxed)) {
-      EventNode* n = PopBefore(sh, limit);
-      if (n == nullptr) break;
-      Fire(sh, n);
-    }
-    // Even with no events at/below the deadline, time advances to it so
-    // callers can measure elapsed windows.
-    sh.now = std::max(sh.now, deadline_ps);
-  }
-
-  bool RunConditionScalar(const std::function<bool()>& done) {
-    stop.store(false, std::memory_order_relaxed);
-    if (done()) return true;
-    Shard& sh = *shards[0];
-    TlsGuard ctx(this, &sh);
-    while (!stop.load(std::memory_order_relaxed)) {
-      EventNode* n = PopBefore(sh, kNoEvent);
-      if (n == nullptr) break;
-      Fire(sh, n);
-      if (done()) return true;
-    }
-    return done();
-  }
-
-  // ------------------------------------------------------------ laned runs
-
-  // One conservative-lookahead round, executed by every shard thread:
-  //   drain inbox -> publish local min -> [barrier: plan] -> execute window
-  //   -> [barrier]
-  // The plan (serial) computes GVT = min local_min and the window
-  // [GVT, GVT+lookahead). Any cross-shard schedule posted from inside a
-  // window has when >= source_now + lookahead >= GVT + lookahead, i.e. at or
-  // past the window end — so no shard can receive work it should already
-  // have executed, and the merge order equals the scalar engine's.
-  void RoundLoop(std::uint32_t shard_idx) {
-    Shard& sh = *shards[shard_idx];
-    while (true) {
-      DrainInbox(sh);
-      sh.local_min = PeekMin(sh);
-      BarrierWait([this] { PlanRound(); });
-      if (finished.load(std::memory_order_relaxed)) return;
-      const PicoTime limit = window_end.load(std::memory_order_relaxed);
-      while (true) {
-        EventNode* n = PopBefore(sh, limit);
-        if (n == nullptr) break;
-        Fire(sh, n);
-      }
-      BarrierWait([] {});
-    }
-  }
-
-  void DrainInbox(Shard& sh) {
-    {
-      std::lock_guard<std::mutex> l(sh.inbox_mu);
-      sh.inbox_scratch.swap(sh.inbox);
-    }
-    // Arrival order in the inbox is wall-clock nondeterministic, but every
-    // structure orders by (when, key_lo), so insertion order is invisible.
-    for (InboxItem& it : sh.inbox_scratch) {
-      EventNode* n = AllocNode(sh);
-      const std::uint32_t gen = GenOf(n->gs.load(std::memory_order_relaxed));
-      n->when = it.when;
-      n->key_lo = it.key_lo;
-      n->cb = std::move(it.cb);
-      n->tag = it.tag;
-      n->home_lane = it.lane;
-      n->gs.store(Pack(gen, kStScheduled), std::memory_order_relaxed);
-      InsertNode(sh, n, gen);
-    }
-    sh.inbox_scratch.clear();
-    MaybeSweep(sh);
-  }
-
-  void PlanRound() {
-    PicoTime gvt = kNoEvent;
-    for (const auto& s : shards) gvt = std::min(gvt, s->local_min);
-    bool fin = false;
-    if (stop.load(std::memory_order_relaxed)) {
-      fin = true;
-    } else if (mode == Mode::kCondition && (*condition)()) {
-      condition_met = true;
-      fin = true;
-    } else if (gvt == kNoEvent) {
-      fin = true;
-    } else if (mode == Mode::kUntil && gvt > deadline) {
-      fin = true;
-    }
-    if (fin) {
-      if (mode == Mode::kUntil) {
-        for (const auto& s : shards) s->now = std::max(s->now, deadline);
-      }
-      finished.store(true, std::memory_order_relaxed);
-      return;
-    }
-    PicoTime we = gvt + lookahead;
-    if (we < gvt) we = kNoEvent;  // saturate
-    if (mode == Mode::kUntil && deadline != kNoEvent) {
-      we = std::min(we, deadline + 1);
-    }
-    window_end.store(we, std::memory_order_relaxed);
-  }
-
-  template <typename SerialFn>
-  void BarrierWait(SerialFn&& serial) {
-    const std::uint64_t my_phase = phase.load(std::memory_order_acquire);
-    if (arrivals.fetch_add(1, std::memory_order_acq_rel) + 1 == shard_count) {
-      serial();
-      arrivals.store(0, std::memory_order_relaxed);
-      phase.store(my_phase + 1, std::memory_order_release);
-    } else {
-      int spins = 0;
-      while (phase.load(std::memory_order_acquire) == my_phase) {
-        if (++spins > 4096) std::this_thread::yield();
-      }
-    }
-  }
-
-  bool RunLaned(Mode m, PicoTime deadline_ps,
-                const std::function<bool()>* done) {
-    stop.store(false, std::memory_order_relaxed);
-    mode = m;
-    deadline = deadline_ps;
-    condition = done;
-    condition_met = false;
-    finished.store(false, std::memory_order_relaxed);
-    parallel_run = true;
-    EnsureWorkers();
-    {
-      std::lock_guard<std::mutex> l(pool_mu);
-      ++epoch;
-    }
-    pool_cv.notify_all();
-    {
-      TlsGuard ctx(this, shards[0].get());
-      RoundLoop(0);
-    }
-    // Wait for every worker to leave its round loop before returning: a
-    // back-to-back Run*() call resets `finished`, and a worker still
-    // draining the final barrier must not observe that reset as "the run
-    // continues" (the barriers would desynchronize).
-    {
-      std::unique_lock<std::mutex> l(pool_mu);
-      done_cv.wait(l, [&] { return done_count == shard_count - 1; });
-      done_count = 0;
-    }
-    parallel_run = false;
-    return condition_met;
-  }
-
-  void EnsureWorkers() {
-    if (workers.size() == static_cast<std::size_t>(shard_count) - 1) return;
-    TeardownWorkers();
-    for (std::uint32_t i = 1; i < shard_count; ++i) {
-      workers.emplace_back(
-          [this, i, seen = epoch]() mutable { WorkerMain(i, seen); });
-    }
-  }
-
-  void TeardownWorkers() {
-    if (workers.empty()) return;
-    {
-      std::lock_guard<std::mutex> l(pool_mu);
-      shutdown = true;
-    }
-    pool_cv.notify_all();
-    for (std::thread& t : workers) t.join();
-    workers.clear();
-    shutdown = false;
-  }
-
-  void WorkerMain(std::uint32_t shard_idx, std::uint64_t seen) {
-    while (true) {
-      {
-        std::unique_lock<std::mutex> l(pool_mu);
-        pool_cv.wait(l, [&] { return shutdown || epoch != seen; });
-        if (shutdown) return;
-        seen = epoch;
-      }
-      TlsGuard ctx(this, shards[shard_idx].get());
-      RoundLoop(shard_idx);
-      {
-        std::lock_guard<std::mutex> l(pool_mu);
-        ++done_count;
-      }
-      done_cv.notify_one();
-    }
-  }
-
-  // ---------------------------------------------------------------- mgmt
-
-  void Reconfigure(std::uint32_t lanes) {
-    std::uint64_t live = 0;
-    for (const auto& s : shards) {
-      live += s->live.load(std::memory_order_relaxed);
-      processed_base += s->fired;
-    }
-    assert(live == 0 && "SetVirtualLanes requires an idle engine");
-    (void)live;
-    TeardownWorkers();
-    virtual_lanes = std::max<std::uint32_t>(1, lanes);
-    shard_count = std::min(std::max<std::uint32_t>(1, config.lanes),
-                           virtual_lanes);
-    if (shard_count > 255) shard_count = 255;  // EventId shard byte
-    shards.clear();
-    shards.reserve(shard_count);
-    for (std::uint32_t i = 0; i < shard_count; ++i) {
-      shards.push_back(std::make_unique<Shard>());
-    }
-    lane_seq.assign(virtual_lanes, LaneSeq{});
   }
 };
 
-Engine::Engine(EngineConfig config) : impl_(std::make_unique<Impl>()) {
-  impl_->config = config;
-  impl_->lookahead = std::max<PicoTime>(1, config.lookahead_ps);
-  impl_->Reconfigure(1);
-}
+Engine::Engine() : impl_(std::make_unique<Impl>()) {}
 
 Engine::~Engine() = default;
 
-PicoTime Engine::Now() const noexcept { return impl_->ContextNow(); }
+PicoTime Engine::Now() const noexcept { return impl_->now; }
 
 EventId Engine::ScheduleAt(PicoTime when, Callback cb, const char* tag) {
-  const std::uint32_t lane = impl_->InRun() ? g_tls.lane : 0;
-  return impl_->ScheduleOn(lane, when, std::move(cb), tag);
+  return impl_->ScheduleOn(impl_->ContextLane(), when, std::move(cb), tag);
 }
 
 EventId Engine::ScheduleAfter(PicoTime delay, Callback cb, const char* tag) {
-  const std::uint32_t lane = impl_->InRun() ? g_tls.lane : 0;
-  return impl_->ScheduleOn(lane, impl_->ContextNow() + delay, std::move(cb),
-                           tag);
+  return impl_->ScheduleOn(impl_->ContextLane(), impl_->now + delay,
+                           std::move(cb), tag);
 }
 
 EventId Engine::ScheduleAtOn(std::uint32_t lane, PicoTime when, Callback cb,
@@ -763,87 +381,60 @@ EventId Engine::ScheduleAtOn(std::uint32_t lane, PicoTime when, Callback cb,
 
 EventId Engine::ScheduleAfterOn(std::uint32_t lane, PicoTime delay,
                                 Callback cb, const char* tag) {
-  return impl_->ScheduleOn(lane, impl_->ContextNow() + delay, std::move(cb),
-                           tag);
+  return impl_->ScheduleOn(lane, impl_->now + delay, std::move(cb), tag);
 }
 
 bool Engine::Cancel(EventId id) { return impl_->CancelId(id); }
 
 void Engine::Run() {
-  if (impl_->shard_count > 1) {
-    impl_->RunLaned(Impl::Mode::kRun, 0, nullptr);
-  } else {
-    impl_->RunScalar();
-  }
+  Impl::RunScope scope(*impl_);
+  impl_->FireBefore(kNoEvent, nullptr);
 }
 
 void Engine::RunUntil(PicoTime deadline) {
-  if (impl_->shard_count > 1) {
-    impl_->RunLaned(Impl::Mode::kUntil, deadline, nullptr);
-  } else {
-    impl_->RunUntilScalar(deadline);
+  {
+    Impl::RunScope scope(*impl_);
+    impl_->FireBefore(deadline == kNoEvent ? kNoEvent : deadline + 1, nullptr);
   }
+  // Even with no events at/below the deadline, time advances to it so
+  // callers can measure elapsed windows.
+  impl_->now = std::max(impl_->now, deadline);
 }
 
 bool Engine::RunUntilCondition(const std::function<bool()>& done) {
-  if (impl_->shard_count > 1) {
-    return impl_->RunLaned(Impl::Mode::kCondition, 0, &done);
-  }
-  return impl_->RunConditionScalar(done);
+  if (done()) return true;
+  Impl::RunScope scope(*impl_);
+  return impl_->FireBefore(kNoEvent, &done) || done();
 }
 
-void Engine::Stop() noexcept {
-  impl_->stop.store(true, std::memory_order_relaxed);
-}
+void Engine::Stop() noexcept { impl_->stop = true; }
 
 std::size_t Engine::PendingEvents() const noexcept {
-  std::uint64_t live = 0;
-  for (const auto& s : impl_->shards) {
-    live += s->live.load(std::memory_order_relaxed);
-  }
-  return static_cast<std::size_t>(live);
+  return static_cast<std::size_t>(impl_->live);
 }
 
-std::uint64_t Engine::EventsProcessed() const noexcept {
-  std::uint64_t fired = impl_->processed_base;
-  for (const auto& s : impl_->shards) fired += s->fired;
-  return fired;
-}
+std::uint64_t Engine::EventsProcessed() const noexcept { return impl_->fired; }
 
 void Engine::SetEventHook(std::function<void(PicoTime, const char*)> hook) {
   impl_->hook = std::move(hook);
 }
 
 void Engine::SetVirtualLanes(std::uint32_t lanes) {
-  impl_->Reconfigure(lanes);
-}
-
-void Engine::SetLookahead(PicoTime lookahead_ps) {
-  impl_->lookahead = std::max<PicoTime>(1, lookahead_ps);
+  assert(impl_->live == 0 && "SetVirtualLanes requires an idle engine");
+  impl_->virtual_lanes = std::max<std::uint32_t>(1, lanes);
+  impl_->lane_seq.assign(impl_->virtual_lanes, 0);
 }
 
 std::uint32_t Engine::VirtualLanes() const noexcept {
   return impl_->virtual_lanes;
 }
 
-std::uint32_t Engine::ExecutorShards() const noexcept {
-  return impl_->shard_count;
-}
-
-PicoTime Engine::Lookahead() const noexcept { return impl_->lookahead; }
-
 std::uint32_t Engine::CurrentLane() const noexcept {
-  return impl_->InRun() ? g_tls.lane : 0;
+  return impl_->ContextLane();
 }
 
 std::size_t Engine::AllocatedEventSlots() const noexcept {
-  std::size_t slots = 0;
-  for (const auto& s : impl_->shards) {
-    slots += static_cast<std::size_t>(
-                 s->chunk_count.load(std::memory_order_relaxed)) *
-             kChunkSize;
-  }
-  return slots;
+  return impl_->chunks.size() * kChunkSize;
 }
 
 }  // namespace twochains::sim

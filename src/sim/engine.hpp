@@ -9,16 +9,12 @@
 // Internally events live in a slab-allocated intrusive pool (no per-event
 // heap allocation: callbacks are held inline by SmallFn, tags are unowned
 // string literals) fronted by a timing wheel; cancellation is a generation
-// counter compare-and-swap, never a set lookup.
+// counter compare, never a set lookup.
 //
-// Scale-out: the event population is partitioned into per-host *lanes*
-// (`SetVirtualLanes`); with `EngineConfig::lanes > 1` the lanes are sharded
-// across that many executor threads and executed in conservative-lookahead
-// windows — a lane may run ahead of the global clock by up to
-// `lookahead_ps`, the minimum cross-lane scheduling latency (link latency in
-// the fabric). Cross-lane schedules post to the target lane's inbox and are
-// merged in (time, lane, sequence) order, so results are byte-identical to
-// the single-lane engine at every lane count. See docs/ARCHITECTURE.md.
+// Every event is keyed (time, source lane, per-lane sequence). A fabric
+// declares one virtual lane per host (`SetVirtualLanes`) and homes each
+// host's events on its lane, so same-time events fire in source-lane order,
+// then in the order that lane scheduled them. See docs/ARCHITECTURE.md.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +32,7 @@
 namespace twochains::sim {
 
 /// Identifies a scheduled event so it can be cancelled. Id 0 is never a
-/// live event (cross-lane schedules return it: they cannot be cancelled).
+/// live event.
 using EventId = std::uint64_t;
 
 /// Move-only callable holder with 120 bytes of inline storage, so scheduling
@@ -141,24 +137,17 @@ class SmallFn {
   const Ops* ops_ = nullptr;
 };
 
-/// Executor configuration. Documented in docs/TUNING.md (## EngineConfig);
-/// the docs gate (tools/check_docs.sh) keeps that table honest.
-struct EngineConfig {
-  std::uint32_t lanes = 1;
-  PicoTime lookahead_ps = 0;
-};
-
 class Engine {
  public:
   using Callback = SmallFn;
 
-  explicit Engine(EngineConfig config = {});
+  Engine();
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time: the firing event's timestamp inside a
-  /// callback, the global maximum across lanes when idle.
+  /// callback, the last fired event's (or RunUntil deadline) when idle.
   PicoTime Now() const noexcept;
 
   /// Schedules @p cb at absolute time @p when (>= Now(); earlier times are
@@ -172,9 +161,8 @@ class Engine {
   EventId ScheduleAfter(PicoTime delay, Callback cb, const char* tag = nullptr);
 
   /// As ScheduleAt/ScheduleAfter, but the event executes on virtual lane
-  /// @p lane. Cross-lane schedules from inside a callback must respect the
-  /// lookahead horizon (when >= Now() + lookahead_ps) and return 0 — they
-  /// cannot be cancelled.
+  /// @p lane. The key's source lane is still the scheduling lane inside a
+  /// callback; from outside a run it is @p lane.
   EventId ScheduleAtOn(std::uint32_t lane, PicoTime when, Callback cb,
                        const char* tag = nullptr);
   EventId ScheduleAfterOn(std::uint32_t lane, PicoTime delay, Callback cb,
@@ -188,20 +176,18 @@ class Engine {
   void Run();
 
   /// Runs until simulated time would exceed @p deadline; events at exactly
-  /// the deadline still fire. Pending later events remain queued. Every
-  /// lane's clock advances to the deadline, so a following RunUntil resumes
-  /// from a deterministic point at any lane count.
+  /// the deadline still fire. Pending later events remain queued. The clock
+  /// advances to the deadline, so a following RunUntil resumes from a
+  /// deterministic point.
   void RunUntil(PicoTime deadline);
 
   /// Runs until @p done() returns true, the queue drains, or Stop() is
-  /// called. Returns true iff @p done() held. Single-executor runs check
-  /// after every event; laned runs check at window boundaries (the lookahead
-  /// round), so drivers that need an exact cut use RunUntil deadlines.
+  /// called. Returns true iff @p done() held. @p done is checked before the
+  /// first event and after every event.
   bool RunUntilCondition(const std::function<bool()>& done);
 
-  /// Requests that the current Run*() call return: after the in-flight
-  /// callback on a single executor, at the current window boundary when
-  /// laned (every lane finishes the window, keeping state deterministic).
+  /// Requests that the current Run*() call return after the in-flight
+  /// callback.
   void Stop() noexcept;
 
   /// True when no events are pending.
@@ -221,26 +207,11 @@ class Engine {
   /// Declares the number of virtual lanes (one per fabric host; a switched
   /// fabric homes each net::Switch on its own lane past the hosts, so
   /// switch-buffer state is only ever touched from events in that lane's
-  /// order). Must be called while idle, before events are scheduled. Lanes
-  /// are sharded across min(config.lanes, lanes) executor threads; with
-  /// the default single executor the lane structure only feeds the
-  /// (time, lane, seq) order, which is why laned runs replay
-  /// byte-identically.
+  /// order). Must be called while idle, before events are scheduled. The
+  /// lanes only feed the (time, lane, seq) order.
   void SetVirtualLanes(std::uint32_t lanes);
 
-  /// Overrides the conservative lookahead horizon (picoseconds); the fabric
-  /// sets this to the minimum cross-host scheduling latency. Clamped to
-  /// >= 1. Only consulted when more than one executor shard is active.
-  void SetLookahead(PicoTime lookahead_ps);
-
   std::uint32_t VirtualLanes() const noexcept;
-  std::uint32_t ExecutorShards() const noexcept;
-
-  /// The active lookahead horizon (picoseconds). Drivers that hand work
-  /// across lanes directly (not through the NIC) schedule at
-  /// Now() + Lookahead() — the earliest cross-lane time that is safe at
-  /// every executor count.
-  PicoTime Lookahead() const noexcept;
 
   /// Lane of the currently firing event (0 outside a run). What plain
   /// ScheduleAt inherits.
@@ -254,14 +225,6 @@ class Engine {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// The laned executor by its scale-out name: an Engine constructed with an
-/// explicit EngineConfig. `LaneEngine({.lanes = 4, .lookahead_ps = l})`
-/// reads at the call site; the type adds nothing else.
-class LaneEngine : public Engine {
- public:
-  using Engine::Engine;
 };
 
 }  // namespace twochains::sim

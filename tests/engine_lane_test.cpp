@@ -1,12 +1,13 @@
-// Directed tests for lane-sharded event execution: byte-identical results
-// across executor counts, cross-lane causality at exactly the lookahead
-// horizon, Stop()/Cancel() semantics under lanes, timing-wheel overflow,
-// generation-counter id reuse, and the bounded-memory regression for
-// schedule/cancel churn.
+// Directed tests for the engine's virtual lanes and hot-path structures:
+// the (time, source lane, per-lane seq) tie-break, RunUntil stepping over
+// a cross-lane fan-out model, timing-wheel overflow, generation-counter id
+// reuse, the bounded-memory regression for schedule/cancel churn, and
+// event-hook transparency.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,174 +16,32 @@
 namespace twochains::sim {
 namespace {
 
-constexpr PicoTime kLook = 1000;  // ps; test-model cross-lane horizon
-constexpr std::uint32_t kHosts = 4;
-
-// Per-host mutable state: only events homed to the host's lane touch it,
-// which is exactly the invariant the fabric relies on.
-struct HostState {
-  std::uint64_t acc = 0;
-  std::vector<std::pair<PicoTime, std::uint64_t>> trace;
-};
-
-using Hosts = std::array<HostState, kHosts>;
-
-// One model event: mix the token into the host's accumulator, record the
-// (time, value) observation, then fan out one same-lane hop and one
-// cross-lane hop beyond the lookahead horizon.
-void Fire(Engine& e, Hosts& hosts, std::uint32_t host, std::uint64_t token,
-          int depth) {
-  HostState& hs = hosts[host];
-  hs.acc = hs.acc * 6364136223846793005ull + token + e.Now() + host;
-  hs.trace.emplace_back(e.Now(), hs.acc);
-  if (depth == 0) return;
-  const std::uint64_t a = hs.acc;
-  e.ScheduleAfter(1 + (a % 700),
-                  [&e, &hosts, host, t = a, depth] {
-                    Fire(e, hosts, host, t, depth - 1);
-                  },
-                  "model.local");
-  const std::uint32_t dst =
-      static_cast<std::uint32_t>((host + 1 + (a >> 8) % (kHosts - 1)) %
-                                 kHosts);
-  e.ScheduleAtOn(dst, e.Now() + kLook + (a % 900),
-                 [&e, &hosts, dst, t = a ^ 0x9e3779b97f4a7c15ull, depth] {
-                   Fire(e, hosts, dst, t, depth - 1);
-                 },
-                 "model.cross");
-}
-
-struct ModelResult {
-  Hosts hosts;
-  PicoTime final_now = 0;
-  std::uint64_t processed = 0;
-};
-
-enum class Drive { kRun, kUntilSteps };
-
-ModelResult RunModel(std::uint32_t lanes, Drive drive) {
-  Engine e(EngineConfig{lanes, kLook});
-  e.SetVirtualLanes(kHosts);
-  ModelResult r;
-  for (std::uint32_t i = 0; i < kHosts; ++i) {
-    e.ScheduleAtOn(i, 100 + 37 * i,
-                   [&e, &r, i] { Fire(e, r.hosts, i, 0x51ed * i, 7); },
-                   "model.seed");
-  }
-  if (drive == Drive::kRun) {
-    e.Run();
-  } else {
-    PicoTime t = 0;
-    while (!e.Idle()) {
-      t += 5000;
-      e.RunUntil(t);
-    }
-  }
-  r.final_now = e.Now();
-  r.processed = e.EventsProcessed();
-  return r;
-}
-
-void ExpectSameResult(const ModelResult& a, const ModelResult& b) {
-  EXPECT_EQ(a.processed, b.processed);
-  EXPECT_EQ(a.final_now, b.final_now);
-  for (std::uint32_t h = 0; h < kHosts; ++h) {
-    ASSERT_EQ(a.hosts[h].trace.size(), b.hosts[h].trace.size())
-        << "host " << h;
-    EXPECT_EQ(a.hosts[h].trace, b.hosts[h].trace) << "host " << h;
-    EXPECT_EQ(a.hosts[h].acc, b.hosts[h].acc) << "host " << h;
-  }
-}
-
-TEST(LaneEngineTest, LanedRunsAreByteIdenticalToScalar) {
-  const ModelResult scalar = RunModel(1, Drive::kRun);
-  EXPECT_GT(scalar.processed, 1000u);  // the model actually exercised fanout
-  for (std::uint32_t lanes : {2u, 3u, 4u, 8u}) {
-    SCOPED_TRACE(lanes);
-    ExpectSameResult(scalar, RunModel(lanes, Drive::kRun));
-  }
-}
-
-TEST(LaneEngineTest, RunUntilSteppingMatchesScalarSteppingAtEveryLaneCount) {
-  // Deadline-stepped drives (the harness pump idiom) must replay the same
-  // trace at every executor count; final time is the deadline, not the
-  // last event, so the baseline is the scalar *stepped* run.
-  const ModelResult scalar = RunModel(1, Drive::kUntilSteps);
-  const ModelResult free_run = RunModel(1, Drive::kRun);
-  for (std::uint32_t h = 0; h < kHosts; ++h) {
-    EXPECT_EQ(scalar.hosts[h].trace, free_run.hosts[h].trace);
-  }
-  for (std::uint32_t lanes : {2u, 4u}) {
-    SCOPED_TRACE(lanes);
-    ExpectSameResult(scalar, RunModel(lanes, Drive::kUntilSteps));
-  }
-}
-
-TEST(LaneEngineTest, CrossLaneScheduleAtExactlyTheHorizonSeesSenderState) {
-  Engine e(EngineConfig{2, kLook});
-  e.SetVirtualLanes(2);
-  std::uint64_t shared = 0;  // written on lane 0 strictly before lane 1 reads
-  std::uint64_t observed = 0;
-  PicoTime observed_at = 0;
-  std::uint32_t observed_lane = 99;
-  e.ScheduleAtOn(0, 500, [&] {
-    shared = 42;
-    // The tightest legal cross-lane schedule: exactly now + lookahead.
-    e.ScheduleAtOn(1, e.Now() + kLook, [&] {
-      observed = shared;
-      observed_at = e.Now();
-      observed_lane = e.CurrentLane();
-    });
+TEST(LaneEngineTest, SameTimeEventsFireInSourceLaneThenScheduleOrder) {
+  // The tie-break every fingerprint relies on: an event is keyed by its
+  // *source* lane — the target lane when scheduled from idle, the firing
+  // event's lane when scheduled from a callback — and same-time events
+  // fire in source-lane order, then in the order that lane scheduled them.
+  Engine e;
+  e.SetVirtualLanes(4);
+  std::vector<std::pair<std::string, std::uint32_t>> fired;  // (name, lane)
+  auto note = [&](const char* name) {
+    return [&fired, &e, name] { fired.emplace_back(name, e.CurrentLane()); };
+  };
+  // From idle, in reverse lane order: keyed by the target lane.
+  e.ScheduleAtOn(3, 100, note("idle->3"));
+  e.ScheduleAtOn(1, 100, note("idle->1"));
+  e.ScheduleAt(100, note("idle->0"));
+  // From callbacks: keyed by the firing event's lane, whatever the target.
+  e.ScheduleAtOn(3, 10, [&] {
+    e.ScheduleAtOn(0, 200, note("3->0"));
+    e.ScheduleAt(200, note("3->3"));
   });
+  e.ScheduleAtOn(1, 20, [&] { e.ScheduleAtOn(2, 200, note("1->2")); });
   e.Run();
-  EXPECT_EQ(observed, 42u);
-  EXPECT_EQ(observed_at, 500u + kLook);
-  EXPECT_EQ(observed_lane, 1u);
-}
-
-TEST(LaneEngineTest, StopFromOneLaneHaltsAllAndTheRunIsResumable) {
-  Engine e(EngineConfig{2, kLook});
-  e.SetVirtualLanes(2);
-  int early = 0, late = 0;
-  // Lane 1 is the lagging lane: one lone event that pulls the plug while
-  // lane 0 has a long runway of future work.
-  e.ScheduleAtOn(1, 300, [&] { e.Stop(); });
-  e.ScheduleAtOn(0, 100, [&] { ++early; });
-  for (int i = 0; i < 16; ++i) {
-    e.ScheduleAtOn(0, 1'000'000 + i * kLook, [&] { ++late; });
-  }
-  e.Run();
-  EXPECT_EQ(early, 1);     // work before the stop still fired
-  EXPECT_EQ(late, 0);      // far-future work did not run past the stop
-  EXPECT_EQ(e.PendingEvents(), 16u);
-  e.Run();                 // stop is per-run: resume drains the rest
-  EXPECT_EQ(late, 16);
-  EXPECT_TRUE(e.Idle());
-}
-
-TEST(LaneEngineTest, CancelWorksAcrossLanesFromIdleButNotMidRun) {
-  Engine e(EngineConfig{2, kLook});
-  e.SetVirtualLanes(2);
-  int fired = 0;
-  // From idle (outside any lane) every schedule is a direct insert and
-  // returns a cancellable id, whatever the target lane.
-  const EventId keep = e.ScheduleAtOn(1, 200, [&] { ++fired; });
-  const EventId victim = e.ScheduleAtOn(1, 300, [&] { fired += 100; });
-  ASSERT_NE(keep, 0u);
-  ASSERT_NE(victim, 0u);
-  EXPECT_TRUE(e.Cancel(victim));
-  EXPECT_FALSE(e.Cancel(victim));  // second cancel: already dead
-
-  // From inside a run, a cross-lane schedule goes through the target's
-  // inbox and is deliberately uncancellable: id 0.
-  EventId cross = 1;
-  e.ScheduleAtOn(0, 100, [&] {
-    cross = e.ScheduleAtOn(1, e.Now() + kLook, [&] { ++fired; });
-  });
-  e.Run();
-  EXPECT_EQ(cross, 0u);
-  EXPECT_FALSE(e.Cancel(cross));
-  EXPECT_EQ(fired, 2);  // keep + the cross-lane event; victim never ran
+  const std::vector<std::pair<std::string, std::uint32_t>> want = {
+      {"idle->0", 0}, {"idle->1", 1}, {"idle->3", 3},
+      {"1->2", 2},    {"3->0", 0},    {"3->3", 3}};
+  EXPECT_EQ(fired, want);
 }
 
 TEST(LaneEngineTest, WheelOverflowEventsInterleaveCorrectly) {
@@ -271,19 +130,79 @@ TEST(LaneEngineTest, EventHookSeesTagsAndDoesNotPerturbExecution) {
   EXPECT_EQ(seen[1], (std::pair<PicoTime, std::string>{20, ""}));
 }
 
-TEST(LaneEngineTest, LaneEngineAliasConstructsTheLanedExecutor) {
-  LaneEngine e({.lanes = 4, .lookahead_ps = kLook});
-  e.SetVirtualLanes(8);
-  EXPECT_EQ(e.VirtualLanes(), 8u);
-  EXPECT_EQ(e.ExecutorShards(), 4u);
-  // Per-lane counters: events on different lanes run concurrently, so a
-  // single shared counter would be a data race by the engine's own rules.
-  std::array<int, 8> fired{};
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    e.ScheduleAtOn(i, 100 + i, [&fired, i] { ++fired[i]; });
+// A fan-out model over four lanes: each event mixes a token into its
+// host's accumulator, records (time, value), then fans out one same-lane
+// hop and one cross-lane hop.
+constexpr PicoTime kCrossHop = 1000;  // ps; minimum cross-lane delay
+constexpr std::uint32_t kHosts = 4;
+
+struct HostState {
+  std::uint64_t acc = 0;
+  std::vector<std::pair<PicoTime, std::uint64_t>> trace;
+};
+
+using Hosts = std::array<HostState, kHosts>;
+
+void FanOut(Engine& e, Hosts& hosts, std::uint32_t host, std::uint64_t token,
+            int depth) {
+  HostState& hs = hosts[host];
+  hs.acc = hs.acc * 6364136223846793005ull + token + e.Now() + host;
+  hs.trace.emplace_back(e.Now(), hs.acc);
+  if (depth == 0) return;
+  const std::uint64_t a = hs.acc;
+  e.ScheduleAfter(1 + (a % 700),
+                  [&e, &hosts, host, t = a, depth] {
+                    FanOut(e, hosts, host, t, depth - 1);
+                  },
+                  "model.local");
+  const std::uint32_t dst =
+      static_cast<std::uint32_t>((host + 1 + (a >> 8) % (kHosts - 1)) %
+                                 kHosts);
+  e.ScheduleAtOn(dst, e.Now() + kCrossHop + (a % 900),
+                 [&e, &hosts, dst, t = a ^ 0x9e3779b97f4a7c15ull, depth] {
+                   FanOut(e, hosts, dst, t, depth - 1);
+                 },
+                 "model.cross");
+}
+
+struct ModelResult {
+  Hosts hosts;
+  std::uint64_t processed = 0;
+};
+
+ModelResult RunFanOutModel(bool stepped) {
+  Engine e;
+  e.SetVirtualLanes(kHosts);
+  ModelResult r;
+  for (std::uint32_t i = 0; i < kHosts; ++i) {
+    e.ScheduleAtOn(i, 100 + 37 * i,
+                   [&e, &r, i] { FanOut(e, r.hosts, i, 0x51ed * i, 7); },
+                   "model.seed");
   }
-  e.Run();
-  for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(fired[i], 1) << i;
+  if (stepped) {
+    PicoTime t = 0;
+    while (!e.Idle()) {
+      t += 5000;
+      e.RunUntil(t);
+    }
+  } else {
+    e.Run();
+  }
+  r.processed = e.EventsProcessed();
+  return r;
+}
+
+TEST(LaneEngineTest, RunUntilSteppingReproducesRun) {
+  // Deadline-stepped drives (the harness pump idiom) must replay the same
+  // trace as one free run.
+  const ModelResult free_run = RunFanOutModel(false);
+  const ModelResult stepped = RunFanOutModel(true);
+  EXPECT_GT(free_run.processed, 1000u);  // the model actually fanned out
+  EXPECT_EQ(stepped.processed, free_run.processed);
+  for (std::uint32_t h = 0; h < kHosts; ++h) {
+    EXPECT_EQ(stepped.hosts[h].trace, free_run.hosts[h].trace) << "host " << h;
+    EXPECT_EQ(stepped.hosts[h].acc, free_run.hosts[h].acc) << "host " << h;
+  }
 }
 
 }  // namespace

@@ -360,40 +360,6 @@ TEST(KvOpenLoopTest, JamCacheTurnsHotPathIntoByHandleSends) {
   EXPECT_EQ(cold->jam.by_handle_sends, 0u);
 }
 
-TEST(KvOpenLoopTest, LanedServingRunMatchesSingleLane) {
-  auto config = SmallServingConfig();
-  config.jam_cache.enabled = true;
-  config.jam_cache.capacity = 8;
-  const auto one = bench::RunKvOpenLoop(config);
-  ASSERT_TRUE(one.ok()) << one.status();
-  ASSERT_TRUE(one->ok) << one->error;
-
-  config.lanes = 4;
-  const auto laned = bench::RunKvOpenLoop(config);
-  ASSERT_TRUE(laned.ok()) << laned.status();
-  ASSERT_TRUE(laned->ok) << laned->error;
-
-  // The driver is lane-partitioned and the engine orders by
-  // (time, lane, seq), so a 4-executor run must reproduce the single-lane
-  // run exactly — counters, bytes, duration, and the full latency multiset.
-  EXPECT_EQ(laned->completed, one->completed);
-  EXPECT_EQ(laned->sent, one->sent);
-  EXPECT_EQ(laned->gets, one->gets);
-  EXPECT_EQ(laned->get_hits, one->get_hits);
-  EXPECT_EQ(laned->queued, one->queued);
-  EXPECT_EQ(laned->queue_peak, one->queue_peak);
-  EXPECT_EQ(laned->wire_bytes, one->wire_bytes);
-  EXPECT_EQ(laned->duration, one->duration);
-  EXPECT_EQ(laned->per_shard_executed, one->per_shard_executed);
-  EXPECT_EQ(laned->jam.hits, one->jam.hits);
-  EXPECT_EQ(laned->jam.by_handle_sends, one->jam.by_handle_sends);
-  std::vector<PicoTime> a = one->latency.samples();
-  std::vector<PicoTime> b = laned->latency.samples();
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
-}
-
 TEST(KvOpenLoopTest, RejectsDegenerateConfigs) {
   auto config = SmallServingConfig();
   config.shards = 0;

@@ -77,9 +77,6 @@ struct PoolTopology {
   net::SwitchConfig switches{};
   /// ECN-driven AIMD bank flow control, applied on every host.
   AdaptiveBankConfig adaptive{};
-  /// Executor lanes for the engine (1 = the scalar reference). Any value
-  /// must reproduce the lanes=1 fingerprint byte for byte.
-  std::uint32_t lanes = 1;
   std::uint64_t seed = 1;
 
   std::string Describe() const {
@@ -108,9 +105,9 @@ struct PoolTopology {
                        adaptive.decrease_beta_milli);
     }
     return StrFormat(
-        "spokes=%u cores=%u banks=%u mpb=%u lanes=%u wait=%s steal{on=%d "
+        "spokes=%u cores=%u banks=%u mpb=%u wait=%s steal{on=%d "
         "thr=%u hys=%u} jam{on=%d cap=%u}%s msgs=[%s]%s%s seed=%llu",
-        spokes, receiver_cores, banks, mailboxes_per_bank, lanes,
+        spokes, receiver_cores, banks, mailboxes_per_bank,
         wait_mode == cpu::WaitMode::kPoll ? "poll" : "wfe",
         steal.enabled ? 1 : 0, steal.threshold, steal.hysteresis,
         jam_cache.enabled ? 1 : 0, jam_cache.capacity, net.c_str(),
@@ -205,7 +202,6 @@ inline FabricOptions MakePoolOptions(const PoolTopology& topo) {
   options.runtime_overrides[0].receiver_cores = topo.receiver_cores;
   options.runtime_overrides[0].sender_core = topo.receiver_cores;
   options.runtime_overrides[0].steal = topo.steal;
-  options.engine.lanes = topo.lanes;
   return options;
 }
 
@@ -420,8 +416,8 @@ inline PoolRunResult RunPoolIncast(const PoolTopology& topo,
     auto receipt = rt.Send(sender.to_hub, jam, mode, args, usr);
     ASSERT_TRUE(receipt.ok()) << receipt.status();
     ++sender.sent;
-    // Homed to the spoke's lane: the pump mutates that spoke's runtime
-    // state, which must only ever be touched from its own lane.
+    // Homed to the spoke's lane, so the pump's events take the spoke's
+    // place in the engine's (time, lane, seq) order.
     fabric.engine().ScheduleAfterOn(s + 1, receipt->sender_cost,
                                     [resume, s] { resume(s); }, "pool.send");
   });

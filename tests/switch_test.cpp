@@ -9,7 +9,7 @@
 // the mark ledger reconciles (every ECN mark a switch applies is
 // delivered to exactly one NIC, every echoed mark is seen by exactly one
 // sender), the adaptive window never leaves [min_banks, banks], and a
-// seed subsample reruns byte-identically — including laned executor runs.
+// seed subsample reruns byte-identically.
 // Directed cases pin that an oversubscribed trunk actually marks, that
 // AIMD actually backs off and recovers, and that a starved buffer holds
 // rather than drops. TC_SWITCH_TOPOLOGIES overrides the sweep size.
@@ -123,15 +123,6 @@ TEST(SwitchInvariantTest, RandomizedTreesPreserveMultiHopInvariants) {
     if (t % 25 == 0) {
       const PoolRunResult again = RunPoolIncast(topo, package);
       EXPECT_EQ(result.fingerprint, again.fingerprint) << topo.Describe();
-    }
-    // And the laned executor must replay the scalar run byte for byte,
-    // switch lanes included (each switch is homed past the hosts).
-    if (t % 50 == 0) {
-      PoolTopology laned = topo;
-      laned.lanes = 2 + static_cast<std::uint32_t>(t % 100 == 0 ? 2 : 0);
-      const PoolRunResult lr = RunPoolIncast(laned, package);
-      EXPECT_EQ(result.fingerprint, lr.fingerprint)
-          << laned.Describe() << " (lanes=" << laned.lanes << ")";
     }
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "first failing topology: " << topo.Describe();

@@ -77,7 +77,6 @@ check AdaptiveBankConfig src/core/runtime.hpp \
   '^## RuntimeConfig — adaptive banks'
 check SecurityPolicy src/core/security.hpp \
   '^## RuntimeConfig — security policy'
-check EngineConfig src/sim/engine.hpp '^## EngineConfig'
 check TreeConfig src/core/fabric.hpp '^## TreeConfig'
 check SwitchConfig src/net/switch.hpp '^## SwitchConfig'
 check HierarchyConfig src/cache/config.hpp '^## HierarchyConfig'
