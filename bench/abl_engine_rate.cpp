@@ -84,15 +84,16 @@ RateRow EngineChainRate(const char* name, std::uint64_t chains,
 /// paper testbed streams injected Server-Side Sums (every NIC hop, cache
 /// access, and receiver wakeup is an engine event).
 RateRow FullStackRate() {
-  auto testbed = MakeBenchTestbed();
+  core::Fabric fabric(PaperFabric(2));
+  LoadBenchPackage(fabric);
   AmConfig config = SsumConfig(64, core::Invoke::kInjected);
   config.iterations = 2000;
 
   const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t before = testbed->engine().EventsProcessed();
-  MustOk(RunAmInjectionRate(*testbed, config), "full-stack stream");
+  const std::uint64_t before = fabric.engine().EventsProcessed();
+  MustOk(RunAmInjectionRate(fabric, config), "full-stack stream");
   RateRow row{"full stack (ssum stream)"};
-  row.events = testbed->engine().EventsProcessed() - before;
+  row.events = fabric.engine().EventsProcessed() - before;
   row.seconds = WallSeconds(start);
   row.events_per_second = static_cast<double>(row.events) / row.seconds;
   return row;
@@ -112,13 +113,7 @@ RateRow TreeIncastRate(std::uint32_t spokes, std::uint32_t msgs_per_spoke) {
   options.tree.tiers = 2;
   options.tree.oversub = 2.0;
   core::Fabric fabric(options);
-  const pkg::Package package = MustOk(BuildBenchPackage(), "bench package");
-  const Status loaded = fabric.LoadPackage(package);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "package load failed: %s\n",
-                 loaded.ToString().c_str());
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
 
   struct Sender {
     core::PeerId to = core::kInvalidPeer;

@@ -26,9 +26,9 @@ struct RelinkSample {
   std::uint64_t misses = 0;
 };
 
-RelinkSample MeasureRelink(core::Testbed& testbed, const std::string& jam) {
-  core::Runtime& sender = testbed.runtime(0);
-  core::Runtime& receiver = testbed.runtime(1);
+RelinkSample MeasureRelink(core::Fabric& fabric, const std::string& jam) {
+  core::Runtime& sender = fabric.runtime(0);
+  core::Runtime& receiver = fabric.runtime(1);
   const std::vector<std::uint64_t> args = {0};
   const std::vector<std::uint8_t> usr(8, 0x11);
 
@@ -39,7 +39,7 @@ RelinkSample MeasureRelink(core::Testbed& testbed, const std::string& jam) {
     });
     auto receipt =
         MustOk(sender.Send(jam, core::Invoke::kInjected, args, usr), "send");
-    testbed.RunUntil([&] { return done; });
+    fabric.RunUntil([&] { return done; });
     receiver.SetOnExecuted(nullptr);
     return receipt;
   };
@@ -104,13 +104,17 @@ int main() {
   // receiver-built GOT + W^X page flips — the per-arrival work the
   // security modes add to every full-body frame).
   const core::JamCacheConfig cache = HotJamCache();
-  auto base_bed = MakeBenchTestbed(PaperTestbed().WithJamCache(cache));
-  core::SecurityPolicy hardened;
+  core::FabricOptions base_options = PaperFabric(2);
+  base_options.runtime.jam_cache = cache;
+  core::Fabric base_bed(base_options);
+  LoadBenchPackage(base_bed);
+  core::FabricOptions hard_options = base_options;
+  core::SecurityPolicy& hardened = hard_options.runtime.security;
   hardened.verify_injected_code = true;
   hardened.receiver_installs_got = true;
   hardened.split_code_data_pages = true;
-  auto hard_bed = MakeBenchTestbed(
-      PaperTestbed().WithJamCache(cache).WithSecurity(hardened));
+  core::Fabric hard_bed(hard_options);
+  LoadBenchPackage(hard_bed);
 
   Table relink({"jam", "full(B)", "by-handle(B)", "cold(cyc)", "cached(cyc)",
                 "hardened cold(cyc)", "hardened gain"});
@@ -120,8 +124,8 @@ int main() {
   bool frames_slim = true;
   for (const auto& elem : package.elements) {
     if (elem.kind != pkg::ElementKind::kJam) continue;
-    const RelinkSample base = MeasureRelink(*base_bed, elem.name);
-    const RelinkSample hard = MeasureRelink(*hard_bed, elem.name);
+    const RelinkSample base = MeasureRelink(base_bed, elem.name);
+    const RelinkSample hard = MeasureRelink(hard_bed, elem.name);
     warm_misses += base.misses + hard.misses;
     frames_slim &= base.hot_frame < base.full_frame;
     const double hard_ratio = hard.cold_cycles / hard.cached_cycles;

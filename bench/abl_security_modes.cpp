@@ -74,12 +74,14 @@ std::vector<Mode> ModeTable() {
 // --------------------------------------------------------------- latency
 
 double MedianUs(const core::SecurityPolicy& policy, std::uint64_t usr_bytes) {
-  auto options = PaperTestbed().WithSecurity(policy);
-  auto testbed = MakeBenchTestbed(options);
+  core::FabricOptions options = PaperFabric(2);
+  options.runtime.security = policy;
+  core::Fabric fabric(options);
+  LoadBenchPackage(fabric);
   AmConfig config = IputConfig(usr_bytes / 4, core::Invoke::kInjected);
   config.iterations = 600;
   config.warmup = 100;
-  const auto result = MustOk(RunAmPingPong(*testbed, config), "pingpong");
+  const auto result = MustOk(RunAmPingPong(fabric, config), "pingpong");
   return ToMicroseconds(result.one_way.Median());
 }
 
@@ -133,11 +135,7 @@ CurvePoint RunCurvePoint(const Mode& mode, std::uint32_t cores) {
   options.runtime_overrides[0].receiver_cores = cores;
   options.runtime_overrides[0].sender_core = cores;
   core::Fabric fabric(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-    std::fprintf(stderr, "fabric setup failed\n");
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
 
   IncastConfig config;
   config.jam = "iput";

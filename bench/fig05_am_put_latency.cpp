@@ -17,17 +17,19 @@ int main() {
   double worst_penalty = 0.0;
   for (std::uint64_t size = 256; size <= 32768; size *= 2) {
     // Fresh testbeds per size keep cache state comparable across points.
-    auto data_bed = MakeBenchTestbed();
+    core::Fabric data_bed(PaperFabric(2));
+    LoadBenchPackage(data_bed);
     RawPutConfig raw;
     raw.size = size;
     raw.iterations = IterationsFor(size);
     raw.warmup = raw.iterations / 5;
-    const auto data = MustOk(RunRawPutPingPong(*data_bed, raw), "data put");
+    const auto data = MustOk(RunRawPutPingPong(data_bed, raw), "data put");
 
-    auto am_bed = MakeBenchTestbed();
+    core::Fabric am_bed(PaperFabric(2));
+    LoadBenchPackage(am_bed);
     AmConfig am = SsumConfig(UsrBytesForLocalFrame(size), core::Invoke::kLocal);
     am.no_execute = true;  // the paper's without-execution configuration
-    const auto am_result = MustOk(RunAmPingPong(*am_bed, am), "AM put");
+    const auto am_result = MustOk(RunAmPingPong(am_bed, am), "AM put");
 
     const double data_us = ToMicroseconds(data.one_way.Median());
     const double am_us = ToMicroseconds(am_result.one_way.Median());

@@ -28,15 +28,19 @@ int RunHot() {
   bool bytes_drop = true;
   bool all_hits = true;
   double min_abs_saved = 1e18, max_abs_saved = 0;
+  core::FabricOptions hot_options = PaperFabric(2);
+  hot_options.runtime.jam_cache = HotJamCache();
   for (std::uint64_t size = 256; size <= 32768; size *= 2) {
-    auto cold_bed = MakeBenchTestbed();
+    core::Fabric cold_bed(PaperFabric(2));
+    LoadBenchPackage(cold_bed);
     const auto cold = MustOk(
-        RunAmInjectionRate(*cold_bed,
+        RunAmInjectionRate(cold_bed,
                            SsumConfig(size, core::Invoke::kInjected)),
         "cold stream");
-    auto hot_bed = MakeBenchTestbed(PaperTestbed().WithJamCache(HotJamCache()));
+    core::Fabric hot_bed(hot_options);
+    LoadBenchPackage(hot_bed);
     const auto hot = MustOk(
-        RunAmInjectionRate(*hot_bed,
+        RunAmInjectionRate(hot_bed,
                            SsumConfig(size, core::Invoke::kInjected)),
         "hot stream");
 
@@ -81,18 +85,20 @@ int main(int argc, char** argv) {
   double min_ratio = 1e9, max_ratio = 0;
   double first_ratio = 0, last_ratio = 0;
   for (std::uint64_t size = 256; size <= 32768; size *= 2) {
-    auto data_bed = MakeBenchTestbed();
+    core::Fabric data_bed(PaperFabric(2));
+    LoadBenchPackage(data_bed);
     RawPutConfig raw;
     raw.size = size;
     raw.iterations = 2 * IterationsFor(size);
-    const auto data = MustOk(RunRawPutStream(*data_bed, raw), "data stream");
+    const auto data = MustOk(RunRawPutStream(data_bed, raw), "data stream");
 
-    auto am_bed = MakeBenchTestbed();
+    core::Fabric am_bed(PaperFabric(2));
+    LoadBenchPackage(am_bed);
     AmConfig am = SsumConfig(UsrBytesForLocalFrame(size), core::Invoke::kLocal);
     am.no_execute = true;
     am.iterations = 2 * IterationsFor(size);
     const auto am_result =
-        MustOk(RunAmInjectionRate(*am_bed, am), "AM stream");
+        MustOk(RunAmInjectionRate(am_bed, am), "AM stream");
 
     const double ratio =
         am_result.megabytes_per_second / data.megabytes_per_second;

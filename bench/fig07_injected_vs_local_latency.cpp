@@ -19,13 +19,15 @@ int main() {
   double small_reduction = 0, large_reduction = 0;
   std::uint64_t injected_code_bytes = 0;
   for (std::uint64_t n = 1; n <= 16384; n *= 2) {
-    auto local_bed = MakeBenchTestbed();
+    core::Fabric local_bed(PaperFabric(2));
+    LoadBenchPackage(local_bed);
     const auto local = MustOk(
-        RunAmPingPong(*local_bed, IputConfig(n, core::Invoke::kLocal)),
+        RunAmPingPong(local_bed, IputConfig(n, core::Invoke::kLocal)),
         "local");
-    auto injected_bed = MakeBenchTestbed();
+    core::Fabric injected_bed(PaperFabric(2));
+    LoadBenchPackage(injected_bed);
     const auto injected = MustOk(
-        RunAmPingPong(*injected_bed, IputConfig(n, core::Invoke::kInjected)),
+        RunAmPingPong(injected_bed, IputConfig(n, core::Invoke::kInjected)),
         "injected");
 
     const double local_us = ToMicroseconds(local.one_way.Median());

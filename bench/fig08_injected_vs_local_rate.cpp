@@ -24,14 +24,18 @@ int RunHot() {
   bool bytes_drop = true;
   bool all_hits = true;
   double small_speedup = 0;
+  core::FabricOptions hot_options = PaperFabric(2);
+  hot_options.runtime.jam_cache = HotJamCache();
   for (std::uint64_t n = 1; n <= 16384; n *= 2) {
-    auto cold_bed = MakeBenchTestbed();
+    core::Fabric cold_bed(PaperFabric(2));
+    LoadBenchPackage(cold_bed);
     const auto cold = MustOk(
-        RunAmInjectionRate(*cold_bed, IputConfig(n, core::Invoke::kInjected)),
+        RunAmInjectionRate(cold_bed, IputConfig(n, core::Invoke::kInjected)),
         "cold");
-    auto hot_bed = MakeBenchTestbed(PaperTestbed().WithJamCache(HotJamCache()));
+    core::Fabric hot_bed(hot_options);
+    LoadBenchPackage(hot_bed);
     const auto hot = MustOk(
-        RunAmInjectionRate(*hot_bed, IputConfig(n, core::Invoke::kInjected)),
+        RunAmInjectionRate(hot_bed, IputConfig(n, core::Invoke::kInjected)),
         "hot");
 
     const double cold_bpi =
@@ -75,13 +79,15 @@ int main(int argc, char** argv) {
   bool ok = true;
   double small_change = 0, large_change = 0;
   for (std::uint64_t n = 1; n <= 16384; n *= 2) {
-    auto local_bed = MakeBenchTestbed();
+    core::Fabric local_bed(PaperFabric(2));
+    LoadBenchPackage(local_bed);
     const auto local = MustOk(
-        RunAmInjectionRate(*local_bed, IputConfig(n, core::Invoke::kLocal)),
+        RunAmInjectionRate(local_bed, IputConfig(n, core::Invoke::kLocal)),
         "local");
-    auto injected_bed = MakeBenchTestbed();
+    core::Fabric injected_bed(PaperFabric(2));
+    LoadBenchPackage(injected_bed);
     const auto injected = MustOk(
-        RunAmInjectionRate(*injected_bed,
+        RunAmInjectionRate(injected_bed,
                            IputConfig(n, core::Invoke::kInjected)),
         "injected");
 

@@ -15,14 +15,20 @@ int main() {
 
   bool ok = true;
   double max_increase = 0, last_increase = 0;
+  core::FabricOptions stash_options = PaperFabric(2);
+  stash_options.nic.stash_to_llc = true;
+  core::FabricOptions nonstash_options = PaperFabric(2);
+  nonstash_options.nic.stash_to_llc = false;
   for (std::uint64_t n = 1; n <= 8192; n *= 2) {
-    auto stash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(true));
+    core::Fabric stash_bed(stash_options);
+    LoadBenchPackage(stash_bed);
     const auto stash = MustOk(
-        RunAmInjectionRate(*stash_bed, IputConfig(n, core::Invoke::kInjected)),
+        RunAmInjectionRate(stash_bed, IputConfig(n, core::Invoke::kInjected)),
         "stash");
-    auto nonstash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(false));
+    core::Fabric nonstash_bed(nonstash_options);
+    LoadBenchPackage(nonstash_bed);
     const auto nonstash = MustOk(
-        RunAmInjectionRate(*nonstash_bed,
+        RunAmInjectionRate(nonstash_bed,
                            IputConfig(n, core::Invoke::kInjected)),
         "nonstash");
 

@@ -20,19 +20,25 @@ int main() {
   double best_tail_ratio = 0;
   double worst_stash_spread = 0;
   int stash_tail_wins = 0, points = 0;
+  core::FabricOptions stash_options = PaperFabric(2);
+  stash_options.nic.stash_to_llc = true;
+  core::FabricOptions nonstash_options = PaperFabric(2);
+  nonstash_options.nic.stash_to_llc = false;
   for (std::uint64_t n = 1; n <= 1024; n *= 2) {
     AmConfig config = IputConfig(n, core::Invoke::kInjected);
     config.iterations = 2500;  // tail sampling needs depth
     config.warmup = 250;
 
-    auto stash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(true));
-    ApplyStress(*stash_bed, StressConfig{});
-    const auto stash = MustOk(RunAmPingPong(*stash_bed, config), "stash");
+    core::Fabric stash_bed(stash_options);
+    LoadBenchPackage(stash_bed);
+    ApplyStress(stash_bed, StressConfig{});
+    const auto stash = MustOk(RunAmPingPong(stash_bed, config), "stash");
 
-    auto nonstash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(false));
-    ApplyStress(*nonstash_bed, StressConfig{});
+    core::Fabric nonstash_bed(nonstash_options);
+    LoadBenchPackage(nonstash_bed);
+    ApplyStress(nonstash_bed, StressConfig{});
     const auto nonstash =
-        MustOk(RunAmPingPong(*nonstash_bed, config), "nonstash");
+        MustOk(RunAmPingPong(nonstash_bed, config), "nonstash");
 
     const double ratio = static_cast<double>(nonstash.one_way.Tail()) /
                          static_cast<double>(stash.one_way.Tail());

@@ -18,16 +18,20 @@ int main() {
   bool ok = true;
   double worst_penalty = 0;
   double min_ratio = 1e9, max_ratio = 0;
+  core::FabricOptions poll_options = PaperFabric(2);
+  poll_options.runtime.wait.mode = cpu::WaitMode::kPoll;
+  core::FabricOptions wfe_options = PaperFabric(2);
+  wfe_options.runtime.wait.mode = cpu::WaitMode::kWfe;
   for (std::uint64_t n = 1; n <= 1024; n *= 2) {
-    auto poll_bed =
-        MakeBenchTestbed(PaperTestbed().WithWaitMode(cpu::WaitMode::kPoll));
+    core::Fabric poll_bed(poll_options);
+    LoadBenchPackage(poll_bed);
     const auto poll = MustOk(
-        RunAmPingPong(*poll_bed, IputConfig(n, core::Invoke::kInjected)),
+        RunAmPingPong(poll_bed, IputConfig(n, core::Invoke::kInjected)),
         "poll");
-    auto wfe_bed =
-        MakeBenchTestbed(PaperTestbed().WithWaitMode(cpu::WaitMode::kWfe));
+    core::Fabric wfe_bed(wfe_options);
+    LoadBenchPackage(wfe_bed);
     const auto wfe = MustOk(
-        RunAmPingPong(*wfe_bed, IputConfig(n, core::Invoke::kInjected)),
+        RunAmPingPong(wfe_bed, IputConfig(n, core::Invoke::kInjected)),
         "wfe");
 
     const double poll_us = ToMicroseconds(poll.one_way.Median());

@@ -17,16 +17,20 @@ int main() {
   bool ok = true;
   double worst_penalty = 0;
   double small_ratio = 0, large_ratio = 0;
+  core::FabricOptions poll_options = PaperFabric(2);
+  poll_options.runtime.wait.mode = cpu::WaitMode::kPoll;
+  core::FabricOptions wfe_options = PaperFabric(2);
+  wfe_options.runtime.wait.mode = cpu::WaitMode::kWfe;
   for (std::uint64_t size = 512; size <= 32768; size *= 2) {
-    auto poll_bed =
-        MakeBenchTestbed(PaperTestbed().WithWaitMode(cpu::WaitMode::kPoll));
+    core::Fabric poll_bed(poll_options);
+    LoadBenchPackage(poll_bed);
     const auto poll = MustOk(
-        RunAmPingPong(*poll_bed, SsumConfig(size, core::Invoke::kInjected)),
+        RunAmPingPong(poll_bed, SsumConfig(size, core::Invoke::kInjected)),
         "poll");
-    auto wfe_bed =
-        MakeBenchTestbed(PaperTestbed().WithWaitMode(cpu::WaitMode::kWfe));
+    core::Fabric wfe_bed(wfe_options);
+    LoadBenchPackage(wfe_bed);
     const auto wfe = MustOk(
-        RunAmPingPong(*wfe_bed, SsumConfig(size, core::Invoke::kInjected)),
+        RunAmPingPong(wfe_bed, SsumConfig(size, core::Invoke::kInjected)),
         "wfe");
 
     const double poll_us = ToMicroseconds(poll.one_way.Median());

@@ -76,11 +76,7 @@ HotplugResult RunHotplug(std::uint32_t pool_cores) {
   options.runtime_overrides[0].receiver_cores = pool_cores;
   options.runtime_overrides[0].sender_core = pool_cores;
   core::Fabric fabric(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-    std::fprintf(stderr, "fabric setup failed\n");
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
   core::Runtime& hub = fabric.runtime(0);
 
   HotplugResult r;

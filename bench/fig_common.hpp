@@ -5,35 +5,18 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <memory>
 
 #include "benchlib/perftest.hpp"
 #include "benchlib/stress.hpp"
 #include "benchlib/table.hpp"
 #include "benchlib/testbed_defaults.hpp"
 #include "benchlib/workloads.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 
 namespace twochains::bench {
-
-/// A fresh paper-testbed with the benchmark package loaded.
-inline std::unique_ptr<core::Testbed> MakeBenchTestbed(
-    core::TestbedOptions options = PaperTestbed()) {
-  auto testbed = std::make_unique<core::Testbed>(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok()) {
-    std::fprintf(stderr, "package build failed: %s\n",
-                 package.status().ToString().c_str());
-    std::abort();
-  }
-  Status st = testbed->LoadPackage(*package);
-  if (!st.ok()) {
-    std::fprintf(stderr, "package load failed: %s\n", st.ToString().c_str());
-    std::abort();
-  }
-  return testbed;
-}
 
 /// Jam-cache parameterization for the `--hot` bench variants: capacity
 /// covers the whole bench package, so a warm sweep never evicts and every
@@ -53,23 +36,16 @@ inline core::JamCacheConfig HotJamCache() {
 inline core::FabricOptions TreeBenchFabric(std::uint32_t senders,
                                            bool adaptive,
                                            std::uint32_t hub_pool_cores = 1) {
-  const core::TestbedOptions paper = PaperTestbed();
-  core::FabricOptions options;
-  options.hosts = senders + 1;
-  options.topology = core::Topology::kTree;
-  options.hub = 0;
+  core::FabricOptions options =
+      PaperFabric(senders + 1, core::Topology::kTree);
   options.tree.arity = 8;
   options.tree.tiers = 2;
   options.tree.oversub = 4.0;
   options.switches.buffer_bytes = KiB(64);
   options.switches.ecn_threshold_bytes = KiB(8);
-  options.nic = paper.nic;
-  options.protocol = paper.protocol;
-  options.runtime = paper.runtime;
   options.runtime.mailboxes_per_bank = 8;
   options.runtime.mailbox_slot_bytes = KiB(4);
   options.runtime.adaptive.enabled = adaptive;
-  options.host = paper.host0;
   if (hub_pool_cores > 1) {
     options.host_overrides.assign(options.hosts, options.host);
     options.host_overrides[0].cache.cores =
@@ -141,6 +117,16 @@ inline T MustOk(StatusOr<T> value, const char* what) {
     std::abort();
   }
   return std::move(value).value();
+}
+
+/// Builds the bench package and loads it on every host of @p fabric.
+/// Like MustOk, a failure is a harness error and aborts the process.
+inline void LoadBenchPackage(core::Fabric& fabric) {
+  const pkg::Package package = MustOk(BuildBenchPackage(), "package build");
+  if (const Status st = fabric.LoadPackage(package); !st.ok()) {
+    std::fprintf(stderr, "package load failed: %s\n", st.ToString().c_str());
+    std::abort();
+  }
 }
 
 inline int FinishChecks(bool all_ok) {

@@ -18,7 +18,7 @@
 
 #include "common/pump.hpp"
 #include "common/rng.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 
 namespace {
 
@@ -70,8 +70,8 @@ int main() {
       !builder.AddSourceFile("jam_add_edge.amc", kJamAddEdge).ok()) {
     return 1;
   }
-  two_chains::Testbed testbed;
-  Status st = testbed.BuildAndLoad(builder, "graph");
+  core::Fabric fabric;  // two hosts, back-to-back
+  Status st = fabric.BuildAndLoad(builder, "graph");
   if (!st.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", st.ToString().c_str());
     return 1;
@@ -95,22 +95,22 @@ int main() {
   std::size_t sent = 0;
   int executed = 0;
   int failures = 0;
-  testbed.runtime(1).SetOnExecuted([&](const two_chains::ReceivedMessage& m) {
+  fabric.runtime(1).SetOnExecuted([&](const core::ReceivedMessage& m) {
     ++executed;
     if (static_cast<std::int64_t>(m.return_value) < 0) ++failures;
   });
   PumpLoop<> pump;
   pump.Set([&, resume = pump.Handle()] {
     while (sent < edges.size()) {
-      if (!testbed.runtime(0).HasFreeSlot()) {
-        testbed.runtime(0).NotifyWhenSlotFree(resume);
+      if (!fabric.runtime(0).HasFreeSlot()) {
+        fabric.runtime(0).NotifyWhenSlotFree(resume);
         return;
       }
       const std::vector<std::uint64_t> args = {
           static_cast<std::uint64_t>(edges[sent].first),
           static_cast<std::uint64_t>(edges[sent].second)};
-      auto receipt = testbed.runtime(0).Send(
-          "add_edge", two_chains::Invoke::kInjected, args, {});
+      auto receipt = fabric.runtime(0).Send(
+          "add_edge", core::Invoke::kInjected, args, {});
       if (!receipt.ok()) {
         std::fprintf(stderr, "send: %s\n",
                      receipt.status().ToString().c_str());
@@ -120,17 +120,17 @@ int main() {
     }
   });
   pump();
-  testbed.RunUntil([&] { return executed == kEdges; });
+  fabric.RunUntil([&] { return executed == kEdges; });
 
   std::printf("scattered %d edges; %d handler executions, %d row-capacity "
               "rejections\n", kEdges, executed, failures);
   std::printf("simulated time: %.1f us; receiver handled %llu messages\n",
-              ToMicroseconds(testbed.engine().Now()),
+              ToMicroseconds(fabric.engine().Now()),
               static_cast<unsigned long long>(
-                  testbed.runtime(1).stats().messages_executed));
+                  fabric.runtime(1).stats().messages_executed));
 
   // Verify the remote adjacency store against the host-side model.
-  auto& remote = testbed.runtime(1);
+  auto& remote = fabric.runtime(1);
   int verified_vertices = 0;
   for (const auto& [src, neighbors] : expect) {
     // Find the vertex slot by probing like the jam does.

@@ -13,7 +13,6 @@
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "core/fabric.hpp"
-#include "core/two_chains.hpp"
 #include "ucxs/ucxs.hpp"
 
 namespace twochains::bench {
@@ -41,7 +40,7 @@ struct PingPongResult {
 };
 
 /// Half round-trip active-message latency (§VI-A1).
-StatusOr<PingPongResult> RunAmPingPong(core::Testbed& testbed,
+StatusOr<PingPongResult> RunAmPingPong(core::Fabric& fabric,
                                        const AmConfig& config);
 
 struct RateResult {
@@ -62,7 +61,7 @@ struct RateResult {
 
 /// Injection rate with bank flow control (§VI-A2): the sender pushes as
 /// fast as its banks allow; the receiver drains and recycles.
-StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
+StatusOr<RateResult> RunAmInjectionRate(core::Fabric& fabric,
                                         const AmConfig& config);
 
 // ----------------------------------------------------------------- incast
@@ -129,12 +128,12 @@ struct RawPutConfig {
 /// Raw UCX put ping-pong baseline ("Data put" in Figs. 5/6): puts through
 /// the kUcx endpoint, receiver detects by polling the trailing flag byte
 /// with the standard completion-tracking overhead.
-StatusOr<PingPongResult> RunRawPutPingPong(core::Testbed& testbed,
+StatusOr<PingPongResult> RunRawPutPingPong(core::Fabric& fabric,
                                            const RawPutConfig& config);
 
 /// Raw UCX put streaming bandwidth: window-limited pipelining with per-op
 /// completion tracking.
-StatusOr<RateResult> RunRawPutStream(core::Testbed& testbed,
+StatusOr<RateResult> RunRawPutStream(core::Fabric& fabric,
                                      const RawPutConfig& config);
 
 }  // namespace twochains::bench

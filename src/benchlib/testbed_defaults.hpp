@@ -1,14 +1,28 @@
-// Canonical testbed parameterization for all figure benches (§VI-C), so
-// every bench measures the same simulated machine unless it deliberately
-// deviates (e.g. toggling stashing or the wait mode).
+// Canonical parameterization for all figure benches (§VI-C), so every
+// bench measures the same simulated machine unless it deliberately
+// deviates (e.g. toggling stashing or the wait mode). The paper's
+// two-server testbed is PaperFabric(2): a 2-host full-mesh core::Fabric.
 #pragma once
 
 #include "core/fabric.hpp"
-#include "core/two_chains.hpp"
+
+namespace twochains::core {
+
+/// The paper's per-host parameters as one plain aggregate: the host
+/// template, NIC, put protocol and runtime that PaperFabric() copies into
+/// a FabricOptions. New code starts from PaperFabric() instead.
+struct TestbedOptions {
+  net::HostConfig host0{};
+  net::NicConfig nic{};
+  ucxs::ProtocolConfig protocol{};
+  RuntimeConfig runtime{};
+};
+
+}  // namespace twochains::core
 
 namespace twochains::bench {
 
-/// The paper's two-server testbed with sensible benchmark mailbox shape.
+/// The paper's server parameters with sensible benchmark mailbox shape.
 inline core::TestbedOptions PaperTestbed() {
   core::TestbedOptions options;
   options.runtime.banks = 4;
@@ -19,12 +33,12 @@ inline core::TestbedOptions PaperTestbed() {
   // cycle counters cover both roles — what Figures 13/14 count.
   options.runtime.sender_core = 0;
   options.host0.memory_bytes = MiB(512);
-  options.host1.memory_bytes = MiB(512);
   return options;
 }
 
-/// The same simulated machine, scaled out to an N-host fabric (the
-/// incast / fan-out scenarios beyond the paper's two-server testbed).
+/// The paper's machine on @p hosts hosts: PaperFabric(2) is the paper's
+/// two-server testbed, larger counts are the incast / fan-out scenarios
+/// beyond it.
 inline core::FabricOptions PaperFabric(
     std::uint32_t hosts,
     core::Topology topology = core::Topology::kFullMesh,

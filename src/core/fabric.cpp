@@ -12,22 +12,27 @@ Fabric::Fabric(FabricOptions options) : options_(std::move(options)) {
     TC_WARN << "fabric: hosts=0 is not a fabric; building 1 host";
     options_.hosts = 1;
   }
+  // A mis-sized override list or an out-of-range hub would build a
+  // different fabric than the one asked for: remember the first such
+  // error (WireUp returns it) and build a well-formed stand-in meanwhile.
+  auto reject = [this](std::string what) {
+    if (setup_error_.ok()) setup_error_ = InvalidArgument("fabric: " + what);
+  };
   if (!options_.host_overrides.empty() &&
       options_.host_overrides.size() != options_.hosts) {
-    TC_WARN << "fabric: " << options_.host_overrides.size()
-            << " host_overrides for " << options_.hosts
-            << " hosts — ignoring overrides, using the host template";
+    reject(StrFormat("%zu host_overrides for %u hosts",
+                     options_.host_overrides.size(), options_.hosts));
     options_.host_overrides.clear();
   }
   if (!options_.runtime_overrides.empty() &&
       options_.runtime_overrides.size() != options_.hosts) {
-    TC_WARN << "fabric: " << options_.runtime_overrides.size()
-            << " runtime_overrides for " << options_.hosts
-            << " hosts — ignoring overrides, using the runtime template";
+    reject(StrFormat("%zu runtime_overrides for %u hosts",
+                     options_.runtime_overrides.size(), options_.hosts));
     options_.runtime_overrides.clear();
   }
   if (options_.hub >= options_.hosts) {
-    TC_WARN << "fabric: hub " << options_.hub << " out of range; using 0";
+    reject(StrFormat("hub %u out of range for %u hosts", options_.hub,
+                     options_.hosts));
     options_.hub = 0;
   }
   if (options_.topology == Topology::kTree) {
@@ -78,10 +83,10 @@ Fabric::Fabric(FabricOptions options) : options_(std::move(options)) {
 
   // Cable the NICs: one dedicated back-to-back link per topology edge. A
   // cabling failure (a duplicate edge would silently shadow the first
-  // cable's wire state) is remembered and surfaced by WireUp.
+  // cable's wire state) is remembered like the option errors above.
   for (const auto& [a, b] : Edges()) {
     const Status st = nodes_[a].nic->ConnectTo(*nodes_[b].nic);
-    if (!st.ok() && cabling_error_.ok()) cabling_error_ = st;
+    if (!st.ok() && setup_error_.ok()) setup_error_ = st;
   }
 
   // One virtual lane per host: the engine keys same-time events by the
@@ -193,7 +198,7 @@ StatusOr<PeerId> Fabric::PeerIdFor(std::uint32_t src,
 
 Status Fabric::WireUp() {
   if (wired_) return Status::Ok();
-  TC_RETURN_IF_ERROR(cabling_error_);
+  TC_RETURN_IF_ERROR(setup_error_);
   for (auto& node : nodes_) {
     TC_RETURN_IF_ERROR(node.runtime->Initialize());
   }

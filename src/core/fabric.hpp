@@ -19,9 +19,9 @@
 //   fabric.runtime(3).Send(*peer, "iput", Invoke::kInjected, args, usr);
 //   fabric.Run();
 //
-// The two-host Testbed (core/two_chains.hpp) is a thin wrapper over a
-// 2-host full-mesh Fabric, so every figure bench measures the same code
-// path the N-host scenarios run.
+// The paper's two-server testbed is the default shape: a 2-host full-mesh
+// Fabric (benchlib's PaperFabric(2)). Every figure bench builds one, so
+// the two-host figures measure the same code path the N-host scenarios run.
 #pragma once
 
 #include <functional>
@@ -77,7 +77,8 @@ struct QuiescePlan {
 struct FabricOptions {
   std::uint32_t hosts = 2;
   Topology topology = Topology::kFullMesh;
-  /// Center of a kStar/kTree fabric (ignored for kFullMesh).
+  /// Center of a kStar/kTree fabric (unused by kFullMesh). Must name a
+  /// host; an out-of-range hub fails the first LoadPackage*.
   std::uint32_t hub = 0;
   /// Shape of a kTree fabric (ignored otherwise).
   TreeConfig tree{};
@@ -86,7 +87,7 @@ struct FabricOptions {
   /// Template for every host; host_id is overridden per host.
   net::HostConfig host{};
   /// Optional per-host overrides; when non-empty must have `hosts` entries
-  /// (a size mismatch is logged and the overrides are ignored).
+  /// (a size mismatch fails the first LoadPackage* with InvalidArgument).
   std::vector<net::HostConfig> host_overrides;
   net::NicConfig nic{};
   ucxs::ProtocolConfig protocol{};
@@ -199,9 +200,10 @@ class Fabric {
   sim::Engine engine_;
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<net::Switch>> switches_;
-  /// First cabling failure (e.g. a duplicate edge): surfaced by WireUp so
-  /// a miswired fabric fails loudly instead of running on shadow state.
-  Status cabling_error_ = Status::Ok();
+  /// First construction failure (mis-sized overrides, an out-of-range hub,
+  /// a duplicate cable): surfaced by WireUp so a misconfigured fabric
+  /// fails loudly instead of running as a different machine.
+  Status setup_error_ = Status::Ok();
   bool wired_ = false;
 };
 

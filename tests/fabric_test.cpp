@@ -365,6 +365,36 @@ TEST(FabricTest, DuplicateCableRejectedAtTheNic) {
             StatusCode::kInvalidArgument);
 }
 
+// A misconfigured fabric must refuse to load, not quietly run as a
+// different machine (template hosts, hub 0): construction keeps the first
+// option error and every wire-up reports it.
+void ExpectLoadRejected(const FabricOptions& options) {
+  Fabric fabric(options);
+  EXPECT_EQ(fabric.size(), options.hosts);
+  auto package = bench::BuildBenchPackage();
+  ASSERT_TRUE(package.ok()) << package.status();
+  EXPECT_EQ(fabric.LoadPackage(*package).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fabric.SyncNamespaces().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FabricTest, MisSizedHostOverridesRejectedAtLoad) {
+  FabricOptions options = SmallOptions(3);
+  options.host_overrides.assign(2, options.host);
+  ExpectLoadRejected(options);
+}
+
+TEST(FabricTest, MisSizedRuntimeOverridesRejectedAtLoad) {
+  FabricOptions options = SmallOptions(3, Topology::kStar, 0);
+  options.runtime_overrides.assign(4, options.runtime);
+  ExpectLoadRejected(options);
+}
+
+TEST(FabricTest, OutOfRangeHubRejectedAtLoad) {
+  ExpectLoadRejected(SmallOptions(3, Topology::kStar, /*hub=*/3));
+  ExpectLoadRejected(SmallOptions(5, Topology::kTree, /*hub=*/7));
+}
+
 // ------------------------------------------------ switched-tree fabric
 
 FabricOptions TreeOptions(std::uint32_t hosts, std::uint32_t arity,

@@ -24,13 +24,24 @@ build_b=$2
 runs=(
   "bench/abl_security_modes --curve"
   "bench/abl_got_rewrite"
+  "bench/abl_ordering_and_frames"
   "bench/fig05_am_put_latency"
   "bench/fig06_am_put_bandwidth --hot"
   "bench/fig07_injected_vs_local_latency"
   "bench/fig08_injected_vs_local_rate --hot"
+  "bench/fig09_stash_latency"
+  "bench/fig10_stash_rate"
+  "bench/fig11_tail_latency_indirect_put"
+  "bench/fig13_wfe_indirect_put"
   "bench/fig15_incast_scaling --tree"
   "bench/fig16_receiver_core_scaling --steal"
+  "bench/fig17_numa_bank_placement --grid"
+  "bench/fig18_hotplug_drain"
   "bench/fig19_kv_serving --quick"
+  "examples/graph_scatter"
+  "examples/numa_pinning"
+  "examples/overloading"
+  "examples/quickstart"
   "examples/security_modes"
 )
 
