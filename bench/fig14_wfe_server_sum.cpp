@@ -18,9 +18,9 @@ int main() {
   double worst_penalty = 0;
   double small_ratio = 0, large_ratio = 0;
   core::FabricOptions poll_options = PaperFabric(2);
-  poll_options.runtime.wait.mode = cpu::WaitMode::kPoll;
+  poll_options.runtime.wait = cpu::WaitMode::kPoll;
   core::FabricOptions wfe_options = PaperFabric(2);
-  wfe_options.runtime.wait.mode = cpu::WaitMode::kWfe;
+  wfe_options.runtime.wait = cpu::WaitMode::kWfe;
   for (std::uint64_t size = 512; size <= 32768; size *= 2) {
     core::Fabric poll_bed(poll_options);
     LoadBenchPackage(poll_bed);

@@ -183,8 +183,6 @@ StealPoint RunStealPoint(std::uint32_t cores, bool skewed, bool steal) {
   options.runtime_overrides[0].sender_core = cores;
   core::StealConfig steal_config;
   steal_config.enabled = steal;
-  steal_config.threshold = 2;
-  steal_config.hysteresis = 1;
   if (steal) options.WithStealing(steal_config);
   core::Fabric fabric(options);
   LoadBenchPackage(fabric);
@@ -241,8 +239,9 @@ StealPoint RunStealPoint(std::uint32_t cores, bool skewed, bool steal) {
 int StealMain() {
   Banner("fig16 --steal",
          "work stealing: uniform vs skewed incast, steal on/off");
-  std::printf("Server-Side Sum, 1 KiB payload, 2 banks, threshold 2 / "
-              "hysteresis 1\n");
+  std::printf("Server-Side Sum, 1 KiB payload, 2 banks, threshold %u / "
+              "hysteresis %u\n",
+              core::kStealThreshold, core::kStealHysteresis);
 
   const std::uint32_t kPoolSizes[] = {4, 8};
   std::vector<StealPoint> points;

@@ -72,8 +72,6 @@ Cell RunCell(bool placement, bool steal) {
     // would just warn-and-disable.
     core::StealConfig steal_config;
     steal_config.enabled = true;
-    steal_config.threshold = 2;
-    steal_config.hysteresis = 1;
     options.runtime_overrides[0].steal = steal_config;
   }
   core::Fabric fabric(options);
@@ -133,8 +131,6 @@ StealCell RunStealCell(bool domain_aware) {
   }
   core::StealConfig steal;
   steal.enabled = true;
-  steal.threshold = 2;
-  steal.hysteresis = 1;
   steal.domain_aware = domain_aware;
   options.runtime_overrides[0].steal = steal;
   core::Fabric fabric(options);

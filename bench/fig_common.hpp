@@ -119,10 +119,12 @@ inline T MustOk(StatusOr<T> value, const char* what) {
   return std::move(value).value();
 }
 
-/// Builds the bench package and loads it on every host of @p fabric.
-/// Like MustOk, a failure is a harness error and aborts the process.
+/// Loads the bench package on every host of @p fabric. The package is
+/// deterministic, so it is built once per process. Like MustOk, a failure
+/// is a harness error and aborts the process.
 inline void LoadBenchPackage(core::Fabric& fabric) {
-  const pkg::Package package = MustOk(BuildBenchPackage(), "package build");
+  static const pkg::Package package =
+      MustOk(BuildBenchPackage(), "package build");
   if (const Status st = fabric.LoadPackage(package); !st.ok()) {
     std::fprintf(stderr, "package load failed: %s\n", st.ToString().c_str());
     std::abort();

@@ -400,8 +400,7 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Fabric& fabric,
   sides[1].endpoint =
       std::make_unique<ucxs::Endpoint>(*workers[1], ucxs::PutMode::kUcx);
 
-  const cpu::WaitModelConfig wait_cfg = fabric.runtime(0).config().wait;
-  cpu::WaitModel wait(wait_cfg, kCoreClock);
+  cpu::WaitModel wait(fabric.runtime(0).config().wait, kCoreClock);
 
   PingPongResult result;
   result.one_way = LatencySample(config.iterations);

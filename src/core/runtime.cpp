@@ -86,22 +86,12 @@ Status Runtime::Initialize() {
             << "); sends will share a core with a pool waiter — set "
                "sender_core outside the pool unless this is intentional";
   }
-  // Steal config: resolve against the clamped pool width and bound the
-  // trigger values so a bad config degrades to "no stealing" or
-  // "steal on any backlog" instead of claim churn or a dead knob.
+  // Steal config: resolve against the clamped pool width.
   stealing_active_ = config_.steal.enabled && config_.receiver_cores > 1;
   if (config_.steal.enabled && config_.receiver_cores == 1) {
     TC_WARN << "work stealing enabled on a 1-core receiver pool — nothing "
                "to steal from; disabling (no steal state allocated)";
   }
-  if (stealing_active_ && config_.steal.threshold == 0) {
-    TC_WARN << "steal threshold 0 would hand claims around with no work "
-               "behind them; clamping to 1";
-    config_.steal.threshold = 1;
-  }
-  // Oversized threshold/hysteresis clamp at steal time instead (see
-  // EffectiveStealThreshold): the bound is the capacity across *all*
-  // peers' slices, and the peer table only fills at Connect.
 
   // Jam cache: the miss NAK mask rides in bits [32, 64) of the bank flag
   // word, one bit per in-bank slot, so the bank shape must fit it.
@@ -114,32 +104,6 @@ Status Runtime::Initialize() {
     TC_WARN << "jam cache capacity 0 could never install an image; "
                "clamping to 1";
     config_.jam_cache.capacity = 1;
-  }
-
-  // Adaptive bank flow control: clamp the window bounds so the AIMD loop
-  // can neither deadlock (floor 0) nor freeze (no decrease / no recovery).
-  if (config_.adaptive.enabled) {
-    if (config_.adaptive.min_banks == 0) {
-      TC_WARN << "adaptive min_banks 0 would let the window close entirely "
-                 "(sender deadlock); clamping to 1";
-      config_.adaptive.min_banks = 1;
-    }
-    if (config_.adaptive.min_banks > config_.banks) {
-      TC_WARN << "adaptive min_banks " << config_.adaptive.min_banks
-              << " exceeds the bank count; clamping to " << config_.banks;
-      config_.adaptive.min_banks = config_.banks;
-    }
-    if (config_.adaptive.decrease_beta_milli >= 1000) {
-      TC_WARN << "adaptive decrease_beta_milli "
-              << config_.adaptive.decrease_beta_milli
-              << " >= 1000 would never decrease (dead knob); clamping to 999";
-      config_.adaptive.decrease_beta_milli = 999;
-    }
-    if (config_.adaptive.additive_increase_milli == 0) {
-      TC_WARN << "adaptive additive_increase_milli 0 would never recover "
-                 "after a decrease; clamping to 1";
-      config_.adaptive.additive_increase_milli = 1;
-    }
   }
 
   pool_.resize(config_.receiver_cores);
@@ -862,8 +826,9 @@ bool Runtime::AdaptiveAdmits(const PeerState& peer) const noexcept {
   for (std::uint32_t b = 0; b < config_.banks; ++b) {
     if (peer.bank_open[b] == 0) ++closed;
   }
-  // floor(cwnd) never drops below min_banks >= 1, and the gate always
-  // passes with nothing closed — the window can throttle, never deadlock.
+  // floor(cwnd) never drops below kAdaptiveMinBanks >= 1, and the gate
+  // always passes with nothing closed — the window can throttle, never
+  // deadlock.
   return closed < std::max<std::uint64_t>(1, peer.cwnd_milli / 1000);
 }
 
@@ -876,20 +841,20 @@ void Runtime::AdaptiveOnFlag(PeerState& peer, std::uint32_t bank, bool ece) {
     if (peer.rtt_min == 0 || rtt < peer.rtt_min) peer.rtt_min = rtt;
   }
   const std::uint64_t floor_milli =
-      static_cast<std::uint64_t>(config_.adaptive.min_banks) * 1000;
+      static_cast<std::uint64_t>(kAdaptiveMinBanks) * 1000;
   const std::uint64_t ceil_milli =
       static_cast<std::uint64_t>(config_.banks) * 1000;
   if (ece && now >= peer.ecn_hold_until) {
     // Multiplicative decrease — once per observed RTT, so one congestion
     // event's burst of echoes costs one backoff, not a collapse.
     peer.cwnd_milli =
-        std::max(floor_milli, peer.cwnd_milli *
-                                  config_.adaptive.decrease_beta_milli / 1000);
+        std::max(floor_milli,
+                 peer.cwnd_milli * kAdaptiveDecreaseBetaMilli / 1000);
     peer.ecn_hold_until = now + (peer.rtt_last > 0 ? peer.rtt_last : 1);
     ++stats_.cwnd_decreases;
   } else if (!ece && peer.cwnd_milli < ceil_milli) {
-    peer.cwnd_milli = std::min(
-        ceil_milli, peer.cwnd_milli + config_.adaptive.additive_increase_milli);
+    peer.cwnd_milli =
+        std::min(ceil_milli, peer.cwnd_milli + kAdaptiveIncreaseMilli);
     ++stats_.cwnd_increases;
   }
   peer.cwnd_min_seen = std::min(peer.cwnd_min_seen, peer.cwnd_milli);
@@ -1019,13 +984,11 @@ const Runtime::ReadyFrame* Runtime::ScanBankHeads(std::uint32_t pool_index) {
 
 const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
   PoolCore& member = pool_[thief];
-  // Schmitt trigger: a fresh steal needs threshold + hysteresis; while
-  // steals keep succeeding, threshold suffices. Damps claim ping-pong
-  // around the threshold under churny load. Effective values clamp
-  // oversized knobs to the whole-fabric inbound capacity.
+  // Schmitt trigger: a fresh steal needs kStealThreshold +
+  // kStealHysteresis; while steals keep succeeding, kStealThreshold
+  // suffices. Damps claim ping-pong around the threshold under churny load.
   const std::uint64_t trigger =
-      static_cast<std::uint64_t>(EffectiveStealThreshold()) +
-      (member.steal_armed ? 0 : EffectiveStealHysteresis());
+      kStealThreshold + (member.steal_armed ? 0 : kStealHysteresis);
   // Victim: the most-loaded active sibling by ready-frame backlog over the
   // banks it currently claims (ties resolve to the lowest pool index). The
   // backlog ledger is maintained incrementally on delivery, completion,
@@ -1375,7 +1338,7 @@ void Runtime::ProcessFrame(const ReadyFrame& frame) {
     // Variable-size frames: the first wait only covered the header magic;
     // model the second wait phase on the end-of-frame signal as one more
     // poll iteration (same put => already visible).
-    cycles += config_.wait.poll_iteration_cycles;
+    cycles += cpu::kPollIterationCycles;
   }
 
   auto invoke_cycles = InvokeFrame(frame, *header, msg);

@@ -114,21 +114,6 @@ inline constexpr PeerId kDefaultPeer = 0;
 /// affinity owner.
 struct StealConfig {
   bool enabled = false;
-  /// Minimum ready-frame backlog across a sibling's claimed banks before an
-  /// idle core sacrifices stash locality and steals. 0 would let a claim
-  /// flip with no work behind it (pure claim churn), so Initialize clamps
-  /// it to >= 1; oversized values are clamped at steal time to the total
-  /// inbound capacity (peers * banks * mailboxes_per_bank — backlog spans
-  /// every peer's slice, and the peer table only fills at Connect), so a
-  /// huge knob degrades to "steal only at full capacity" instead of a
-  /// silently dead config. EffectiveStealThreshold() reports the value
-  /// actually in force.
-  std::uint32_t threshold = 2;
-  /// Schmitt-trigger margin damping claim ping-pong: a core whose previous
-  /// steal scan failed needs backlog >= threshold + hysteresis to start
-  /// stealing again; while its steals keep succeeding, backlog >= threshold
-  /// suffices. Clamped at steal time like threshold.
-  std::uint32_t hysteresis = 1;
   /// Domain-aware victim selection: a thief prefers the most-loaded sibling
   /// in its *own* memory domain — even past a deeper remote-domain backlog —
   /// and only crosses the interconnect when no same-domain victim clears
@@ -136,6 +121,14 @@ struct StealConfig {
   /// toll fig17 measures; a no-op on single-domain hosts.
   bool domain_aware = true;
 };
+
+/// Steal trigger (a Schmitt trigger damping claim ping-pong): an idle
+/// core whose previous steal scan failed steals only from a sibling whose
+/// ready-frame backlog over its claimed banks reaches kStealThreshold +
+/// kStealHysteresis; while its steals keep succeeding, kStealThreshold
+/// suffices. Every bench runs these values, so they are model constants.
+inline constexpr std::uint32_t kStealThreshold = 2;
+inline constexpr std::uint32_t kStealHysteresis = 1;
 
 /// Receiver-side jam cache: send-once, invoke-many. The first full-body
 /// Injected Function frame of a jam installs its post-GOT-rewrite image
@@ -198,23 +191,22 @@ struct JamCacheStats {
 /// saturated hub sheds queue depth instead of growing it. Flag returns
 /// without an echo additively re-open the window up to the configured bank
 /// count. Window bounds are a harness invariant: the window always stays
-/// within [min_banks, banks].
+/// within [kAdaptiveMinBanks, banks].
 struct AdaptiveBankConfig {
   bool enabled = false;
-  /// Window floor (banks). Never adapted below — one bank must always be
-  /// admissible or the sender deadlocks. Clamped to [1, banks].
-  std::uint32_t min_banks = 1;
-  /// Additive increase per un-marked flag return, in milli-banks
-  /// (250 = a quarter bank per clean RTT). 0 would never recover after a
-  /// decrease; clamped to >= 1.
-  std::uint32_t additive_increase_milli = 250;
-  /// Multiplicative decrease factor on an ECN echo, in milli-units
-  /// (500 = halve the window). Values >= 1000 would never decrease (a
-  /// dead knob); clamped to 999. At most one decrease per observed
-  /// flag RTT, so a burst of echoes from one congestion event does not
-  /// collapse the window to the floor.
-  std::uint32_t decrease_beta_milli = 500;
 };
+
+/// AIMD window shape (see AdaptiveBankConfig). The floor is one bank:
+/// one bank must always be admissible or the sender deadlocks.
+inline constexpr std::uint32_t kAdaptiveMinBanks = 1;
+/// Additive increase per un-marked flag return, in milli-banks (a quarter
+/// bank per clean RTT).
+inline constexpr std::uint32_t kAdaptiveIncreaseMilli = 250;
+/// Multiplicative decrease on an ECN echo, in milli-units (halve the
+/// window). At most one decrease per observed flag RTT, so a burst of
+/// echoes from one congestion event does not collapse the window to the
+/// floor.
+inline constexpr std::uint32_t kAdaptiveDecreaseBetaMilli = 500;
 
 /// Lifecycle state of one receiver-pool member (see Runtime::QuiesceCore /
 /// ReviveCore and docs/RUNTIME_LIFECYCLE.md).
@@ -241,7 +233,7 @@ struct RuntimeConfig {
   /// Fixed per-slot capacity; frames must fit.
   std::uint64_t mailbox_slot_bytes = KiB(64);
   /// How pool cores wait on their bank heads (POLL spin vs Arm WFE).
-  cpu::WaitModelConfig wait{};
+  cpu::WaitMode wait = cpu::WaitMode::kPoll;
   /// First core of the receiver pool (clamped to the cache model).
   std::uint32_t receiver_core = 0;
   /// Receiver pool size: cores receiver_core .. receiver_core +
@@ -552,10 +544,6 @@ class Runtime {
   sim::Engine& engine() noexcept { return engine_; }  ///< shared engine
   /// The configuration in force (post-Initialize clamping).
   const RuntimeConfig& config() const noexcept { return config_; }
-  /// Mutable view for tests/stress tooling; mutating shape knobs (banks,
-  /// pool width) after Initialize() is undefined — only trigger values
-  /// (steal thresholds) are safe to adjust live.
-  RuntimeConfig& mutable_config() noexcept { return config_; }
   /// Whole-runtime counters (see RuntimeStats for the ledger contracts).
   const RuntimeStats& stats() const noexcept { return stats_; }
   /// Jam-cache counters (see JamCacheStats for the ledger contracts).
@@ -617,17 +605,6 @@ class Runtime {
   std::uint32_t StolenBanksHeld(std::uint32_t pool_index) const noexcept {
     return static_cast<std::uint32_t>(pool_[pool_index].stolen_banks.size());
   }
-  /// The steal threshold actually in force: config value clamped to the
-  /// total inbound capacity across connected peers (an unreachable
-  /// threshold would be a dead config, not conservative stealing).
-  std::uint32_t EffectiveStealThreshold() const noexcept {
-    return std::min(config_.steal.threshold, std::max(1u, MaxStealBacklog()));
-  }
-  /// The hysteresis margin actually in force (same clamp as the
-  /// threshold).
-  std::uint32_t EffectiveStealHysteresis() const noexcept {
-    return std::min(config_.steal.hysteresis, MaxStealBacklog());
-  }
   /// Frames delivered into this runtime's mailboxes and not yet fully
   /// processed (including any a pool core is currently executing). Zero at
   /// drain — the mailbox-leak invariant the soak suite asserts.
@@ -647,7 +624,7 @@ class Runtime {
     return peers_.at(peer).cwnd_milli;
   }
   /// Observed window bounds since Connect — the harness invariant is that
-  /// both always lie within [min_banks, banks] * 1000.
+  /// both always lie within [kAdaptiveMinBanks, banks] * 1000.
   std::uint64_t AdaptiveWindowMinMilli(PeerId peer) const {
     return peers_.at(peer).cwnd_min_seen;
   }
@@ -720,9 +697,9 @@ class Runtime {
     /// that point). Populated only while stealing is active.
     std::vector<std::pair<PeerId, std::uint32_t>> stolen_banks;
     /// Schmitt-trigger state: true while this core's steals keep
-    /// succeeding, so re-stealing needs only `threshold` backlog; a failed
-    /// steal scan disarms it, raising the bar back to
-    /// `threshold + hysteresis`.
+    /// succeeding, so re-stealing needs only kStealThreshold backlog; a
+    /// failed steal scan disarms it, raising the bar back to
+    /// kStealThreshold + kStealHysteresis.
     bool steal_armed = false;
   };
 
@@ -753,7 +730,7 @@ class Runtime {
     // Adaptive bank flow control, sender side (allocated/maintained only
     // while config_.adaptive.enabled; see AdaptiveBankConfig).
     /// Congestion window over closed banks, in milli-banks. Invariant:
-    /// within [min_banks, banks] * 1000 at all times.
+    /// within [kAdaptiveMinBanks, banks] * 1000 at all times.
     std::uint64_t cwnd_milli = 0;
     std::uint64_t cwnd_min_seen = 0;  ///< observed window low-water mark
     std::uint64_t cwnd_max_seen = 0;  ///< observed window high-water mark
@@ -830,12 +807,6 @@ class Runtime {
   std::uint32_t TotalSlots() const {
     return config_.banks * config_.mailboxes_per_bank;
   }
-  /// Largest ready backlog one claim holder could accumulate: every slot
-  /// of every connected peer's inbound slice.
-  std::uint32_t MaxStealBacklog() const noexcept {
-    return static_cast<std::uint32_t>(peers_.size()) * config_.banks *
-           config_.mailboxes_per_bank;
-  }
   mem::VirtAddr SlotAddr(const PeerState& peer, std::uint32_t slot) const {
     return peer.bank_base[slot / config_.mailboxes_per_bank] +
            static_cast<std::uint64_t>(slot % config_.mailboxes_per_bank) *
@@ -899,7 +870,7 @@ class Runtime {
   const ReadyFrame* ScanBankHeads(std::uint32_t pool_index);
   /// Steal attempt for an idle @p thief: picks the most-loaded sibling
   /// (ready-frame backlog over its claimed banks, ties to the lowest pool
-  /// index), and — if the backlog clears the hysteresis-adjusted threshold
+  /// index), and — if the backlog clears the steal trigger
   /// — claims that sibling's oldest ready bank head. Returns the stolen
   /// bank's head frame, or nullptr (which disarms the Schmitt trigger).
   const ReadyFrame* TrySteal(std::uint32_t thief);

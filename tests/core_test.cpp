@@ -656,55 +656,6 @@ TEST_F(TwoChainsTest, StealOnSingleCorePoolIsNoOp) {
   EXPECT_EQ(rx.stats().banks_drained_owner, rx.stats().bank_flags_returned);
 }
 
-TEST_F(TwoChainsTest, StealThresholdZeroClampsToOne) {
-  StealConfig steal;
-  steal.enabled = true;
-  steal.threshold = 0;  // would flip claims with no work behind them
-  FabricOptions options = Options();
-  options.runtime.receiver_cores = 2;
-  options.runtime.sender_core = 2;
-  options.WithStealing(steal);
-  SetUpFabric(options);
-
-  EXPECT_TRUE(fabric_->runtime(1).stealing_active());
-  EXPECT_EQ(fabric_->runtime(1).config().steal.threshold, 1u);
-  // Clamped config still drains traffic instead of spinning on claims.
-  std::vector<std::uint8_t> usr(8, 7);
-  for (int i = 0; i < 20; ++i) {
-    auto msg = SendAndRun("ssum", Invoke::kInjected, {0}, usr);
-    ASSERT_TRUE(msg.ok()) << msg.status();
-  }
-  EXPECT_EQ(fabric_->runtime(1).InFlightFrames(), 0u);
-}
-
-TEST_F(TwoChainsTest, HugeStealKnobsClampToInboundCapacity) {
-  StealConfig steal;
-  steal.enabled = true;
-  steal.threshold = ~std::uint32_t{0};
-  steal.hysteresis = ~std::uint32_t{0};
-  FabricOptions options = Options();  // 2 banks x 4 slots -> 8-slot slice
-  options.runtime.receiver_cores = 2;
-  options.runtime.sender_core = 2;
-  options.WithStealing(steal);
-  SetUpFabric(options);
-
-  // The config keeps what the user asked for; the value *in force* clamps
-  // to the whole inbound capacity — one peer's slice on this testbed.
-  // (Backlog spans every peer's slice, so the bound is peer-count-aware,
-  // not a single slice.)
-  Runtime& rx = fabric_->runtime(1);
-  const std::uint32_t capacity = rx.peer_count() * rx.config().banks *
-                                 rx.config().mailboxes_per_bank;
-  EXPECT_EQ(rx.config().steal.threshold, ~std::uint32_t{0});
-  EXPECT_EQ(rx.EffectiveStealThreshold(), capacity);
-  EXPECT_EQ(rx.EffectiveStealHysteresis(), capacity);
-  // A full-capacity threshold still drains traffic like steal-off.
-  std::vector<std::uint8_t> usr(8, 9);
-  auto msg = SendAndRun("nop", Invoke::kInjected, {1}, usr);
-  ASSERT_TRUE(msg.ok()) << msg.status();
-  EXPECT_EQ(rx.stats().steals, 0u);
-}
-
 // -------------------------------------------------- core-range clamping
 
 TEST_F(TwoChainsTest, SenderCoreClampsToCacheModelCores) {

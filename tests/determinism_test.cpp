@@ -227,10 +227,6 @@ pooltest::PoolTopology StealTopology(std::uint32_t receiver_cores,
   topo.mailboxes_per_bank = 4;
   topo.messages_per_spoke = {160, 16, 16, 16, 48};
   topo.steal.enabled = steal_on;
-  // Single-bank senders keep the hub's ready backlog shallow (flow
-  // control caps it near 2), so the trigger sits at 2-fresh / 1-armed.
-  topo.steal.threshold = 1;
-  topo.steal.hysteresis = 1;
   topo.seed = kSeed;
   return topo;
 }
@@ -340,8 +336,6 @@ FabricOptions NumaPoolOptions(std::uint32_t receiver_cores, bool steal) {
   if (steal) {
     StealConfig config;
     config.enabled = true;
-    config.threshold = 1;
-    config.hysteresis = 1;
     options.runtime_overrides[0].steal = config;
   }
   return options;
@@ -383,8 +377,6 @@ pooltest::PoolTopology JamTopology(std::uint32_t receiver_cores,
   topo.mailboxes_per_bank = 4;
   topo.messages_per_spoke = {80, 80, 80, 80};
   topo.steal.enabled = receiver_cores > 1;
-  topo.steal.threshold = 1;
-  topo.steal.hysteresis = 1;
   topo.jam_cache.enabled = cache_on;
   topo.jam_cache.capacity = 4;
   topo.seed = kSeed;

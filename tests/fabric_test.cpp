@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "benchlib/perftest.hpp"
-#include "benchlib/stress.hpp"
 #include "benchlib/workloads.hpp"
 #include "common/pump.hpp"
 #include "core/fabric.hpp"
@@ -577,62 +576,6 @@ TEST(FabricTest, AllZeroWeightIncastIsRejected) {
   config.sender_weights = {0, 0};
   auto result = bench::RunIncastRate(*fabric, 0, {1, 2}, config);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-// Regression: ApplyStress boosts every runtime's wait-loop steal
-// hysteresis (seeded per host in host-index order), and ClearStress must
-// restore the pre-stress defaults exactly — clear/apply must round-trip,
-// including repeated and double applies.
-TEST(FabricTest, StressApplyClearRoundTripsWaitLoopHysteresis) {
-  FabricOptions options = SmallOptions(3, Topology::kStar, 0);
-  StealConfig steal;
-  steal.enabled = true;
-  steal.threshold = 3;
-  steal.hysteresis = 2;
-  options.WithStealing(steal);
-  options.runtime_overrides.assign(3, options.runtime);
-  options.runtime_overrides[0].receiver_cores = 2;
-  options.runtime_overrides[0].sender_core = 2;
-  auto fabric = MakeLoadedFabric(std::move(options));
-
-  std::vector<StealConfig> pristine;
-  for (std::uint32_t i = 0; i < fabric->size(); ++i) {
-    pristine.push_back(fabric->runtime(i).config().steal);
-  }
-
-  bench::StressConfig stress;
-  stress.steal_hysteresis_boost = 2;
-  bench::ApplyStress(*fabric, stress);
-  for (std::uint32_t i = 0; i < fabric->size(); ++i) {
-    EXPECT_EQ(fabric->runtime(i).config().steal.hysteresis,
-              pristine[i].hysteresis + 2)
-        << "host " << i;
-  }
-  // Double apply must not compound the boost.
-  bench::ApplyStress(*fabric, stress);
-  for (std::uint32_t i = 0; i < fabric->size(); ++i) {
-    EXPECT_EQ(fabric->runtime(i).config().steal.hysteresis,
-              pristine[i].hysteresis + 2)
-        << "host " << i;
-  }
-
-  bench::ClearStress(*fabric);
-  for (std::uint32_t i = 0; i < fabric->size(); ++i) {
-    const StealConfig& restored = fabric->runtime(i).config().steal;
-    EXPECT_EQ(restored.enabled, pristine[i].enabled) << "host " << i;
-    EXPECT_EQ(restored.threshold, pristine[i].threshold) << "host " << i;
-    EXPECT_EQ(restored.hysteresis, pristine[i].hysteresis) << "host " << i;
-  }
-
-  // A second full round-trip lands on the same defaults (the snapshot is
-  // re-taken from pristine state, not from a stale boosted copy).
-  bench::ApplyStress(*fabric, stress);
-  bench::ClearStress(*fabric);
-  for (std::uint32_t i = 0; i < fabric->size(); ++i) {
-    EXPECT_EQ(fabric->runtime(i).config().steal.hysteresis,
-              pristine[i].hysteresis)
-        << "host " << i;
-  }
 }
 
 }  // namespace

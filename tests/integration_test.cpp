@@ -60,7 +60,7 @@ TEST_P(ConfigMatrixTest, SsumComputesCorrectlyInEveryConfiguration) {
   const MatrixCase param = GetParam();
   FabricOptions options;
   options.nic.stash_to_llc = param.stash;
-  options.runtime.wait.mode = param.wait;
+  options.runtime.wait = param.wait;
   if (param.hardened) {
     options.runtime.security = SecurityPolicy::Hardened();
   }

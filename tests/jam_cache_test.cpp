@@ -431,8 +431,6 @@ TEST(JamCachePoolTest, ExactlyOnceUnderStealAndQuiesce) {
     topo.mailboxes_per_bank = 4;
     topo.messages_per_spoke = {96, 24, 24, 48};
     topo.steal.enabled = true;
-    topo.steal.threshold = 1;
-    topo.steal.hysteresis = 1;
     topo.jam_cache = CacheOn(2);  // small: force eviction/NAK traffic
     topo.quiesce = {{1, 40, 160}, {2, 90, 0}};
     topo.seed = seed;

@@ -99,17 +99,13 @@ struct PoolTopology {
           static_cast<unsigned long long>(switches.buffer_bytes),
           static_cast<unsigned long long>(switches.ecn_threshold_bytes));
     }
-    if (adaptive.enabled) {
-      net += StrFormat(" aimd{min=%u ai=%u beta=%u}", adaptive.min_banks,
-                       adaptive.additive_increase_milli,
-                       adaptive.decrease_beta_milli);
-    }
+    if (adaptive.enabled) net += " aimd";
     return StrFormat(
-        "spokes=%u cores=%u banks=%u mpb=%u wait=%s steal{on=%d "
-        "thr=%u hys=%u} jam{on=%d cap=%u}%s msgs=[%s]%s%s seed=%llu",
+        "spokes=%u cores=%u banks=%u mpb=%u wait=%s steal{on=%d} "
+        "jam{on=%d cap=%u}%s msgs=[%s]%s%s seed=%llu",
         spokes, receiver_cores, banks, mailboxes_per_bank,
         wait_mode == cpu::WaitMode::kPoll ? "poll" : "wfe",
-        steal.enabled ? 1 : 0, steal.threshold, steal.hysteresis,
+        steal.enabled ? 1 : 0,
         jam_cache.enabled ? 1 : 0, jam_cache.capacity, net.c_str(),
         msgs.c_str(), identical_streams ? " identical" : "", plugs.c_str(),
         static_cast<unsigned long long>(seed));
@@ -189,7 +185,7 @@ inline FabricOptions MakePoolOptions(const PoolTopology& topo) {
   options.runtime.banks = topo.banks;
   options.runtime.mailboxes_per_bank = topo.mailboxes_per_bank;
   options.runtime.mailbox_slot_bytes = topo.mailbox_slot_bytes;
-  options.runtime.wait.mode = topo.wait_mode;
+  options.runtime.wait = topo.wait_mode;
   // The cache knob applies fabric-wide: spokes need it to *send* by-handle,
   // the hub needs it to install and serve (and to NAK what it lacks).
   options.runtime.jam_cache = topo.jam_cache;
@@ -520,12 +516,12 @@ inline void ExpectPoolInvariants(const PoolTopology& topo,
     EXPECT_EQ(r.switch_frames_forwarded, 0u) << ctx;
     EXPECT_EQ(r.nic_ecn_marks_delivered, 0u) << ctx;
   }
-  // Adaptive-window excursion bounds: never below the (clamped) floor,
-  // never above the static bank count; a non-adaptive run never moves.
+  // Adaptive-window excursion bounds: never below the floor, never above
+  // the static bank count; a non-adaptive run never moves.
   const std::uint64_t ceiling_milli =
       static_cast<std::uint64_t>(topo.banks) * 1000;
   const std::uint64_t floor_milli =
-      std::clamp(topo.adaptive.min_banks, 1u, topo.banks) * 1000ull;
+      static_cast<std::uint64_t>(kAdaptiveMinBanks) * 1000;
   for (std::size_t s = 0; s < r.window_min_milli.size(); ++s) {
     if (topo.adaptive.enabled) {
       EXPECT_GE(r.window_min_milli[s], floor_milli) << ctx << " spoke " << s;

@@ -58,8 +58,6 @@ PoolTopology RandomTopology(std::uint64_t seed) {
   topo.wait_mode =
       rng.NextBelow(2) == 0 ? cpu::WaitMode::kPoll : cpu::WaitMode::kWfe;
   topo.steal.enabled = rng.NextBelow(2) != 0;  // hotplug x stealing mix
-  topo.steal.threshold = 1 + static_cast<std::uint32_t>(rng.NextBelow(3));
-  topo.steal.hysteresis = static_cast<std::uint32_t>(rng.NextBelow(2));
   topo.messages_per_spoke.resize(topo.spokes);
   std::uint64_t total = 0;
   for (std::uint32_t s = 0; s < topo.spokes; ++s) {
@@ -244,8 +242,6 @@ TEST(QuiesceInvariantTest, QuiesceComposesWithStealing) {
   topo.mailboxes_per_bank = 4;
   topo.messages_per_spoke = {96, 4};
   topo.steal.enabled = true;
-  topo.steal.threshold = 2;
-  topo.steal.hysteresis = 1;
   topo.seed = 0xBEEF;
   QuiesceEvent q;
   q.pool_index = 1;

@@ -40,12 +40,10 @@ FabricOptions SoakOptions(bool stashing, bool stealing) {
   options.runtime_overrides.assign(options.hosts, options.runtime);
   options.runtime_overrides[0].receiver_cores = 2;
   if (stealing) {
-    // Hub pool steals aggressively (trigger 2-fresh / 1-armed) so the
-    // stressed, skewed run exercises claim handoffs constantly.
+    // Hub pool steals so the stressed, skewed run exercises claim
+    // handoffs constantly.
     StealConfig steal;
     steal.enabled = true;
-    steal.threshold = 1;
-    steal.hysteresis = 1;
     options.runtime_overrides[0].steal = steal;
   }
   return options;

@@ -2,7 +2,7 @@
 // cores contend for one bank's frames, so it ships with the harness that
 // proves the contention safe. A seeded generator draws thousands of short
 // skewed incast topologies (pool width, bank shape, wait mode, steal
-// threshold/hysteresis, per-spoke load all randomized) and checks the
+// on/off, per-spoke load all randomized) and checks the
 // scheduler invariants after every run: each frame executed exactly once,
 // in-bank completion order intact across claim handoffs, bank flags
 // returned only after a full drain and accounted to exactly one drainer,
@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "pool_harness.hpp"
@@ -56,9 +57,6 @@ PoolTopology RandomTopology(std::uint64_t seed) {
   topo.wait_mode =
       rng.NextBelow(2) == 0 ? cpu::WaitMode::kPoll : cpu::WaitMode::kWfe;
   topo.steal.enabled = rng.NextBelow(8) != 0;  // occasionally steal-off
-  // threshold 0 exercises the Initialize clamp on a live workload.
-  topo.steal.threshold = static_cast<std::uint32_t>(rng.NextBelow(4));
-  topo.steal.hysteresis = static_cast<std::uint32_t>(rng.NextBelow(2));
   topo.messages_per_spoke.resize(topo.spokes);
   for (std::uint32_t s = 0; s < topo.spokes; ++s) {
     topo.messages_per_spoke[s] =
@@ -109,6 +107,119 @@ TEST(StealInvariantTest, RandomizedTopologiesPreserveSchedulerInvariants) {
       << "/" << runs << ", " << total_steals << " total)";
 }
 
+/// One frame of a directed steal-trigger run: @p spoke_peer is the hub's
+/// peer id of the sending spoke, sent at simulated time @p at.
+struct Shot {
+  PeerId spoke_peer = 0;
+  PicoTime at = 0;
+  std::uint64_t usr_bytes = 0;
+};
+
+struct TriggerRun {
+  std::uint64_t steals = 0;
+  /// Every frame the hub executed, in completion order.
+  std::vector<ReceivedMessage> executed;
+};
+
+/// A 2-core hub pool with one bank per peer, so hub peer p belongs to
+/// pool core p % 2: peers 0, 2 and 4 load core 0, and core 1 idles with
+/// nothing of its own. Each shot sends one ssum to the hub.
+TriggerRun RunTriggerShots(const std::vector<Shot>& shots) {
+  PoolTopology topo;
+  topo.spokes = 5;
+  topo.receiver_cores = 2;
+  topo.banks = 1;
+  topo.mailboxes_per_bank = 4;
+  topo.steal.enabled = true;
+  Fabric fabric(MakePoolOptions(topo));
+  TriggerRun run;
+  if (const Status st = fabric.LoadPackage(BenchPackage()); !st.ok()) {
+    ADD_FAILURE() << "package load failed: " << st;
+    return run;
+  }
+  // Spoke host of each hub peer id.
+  std::vector<std::uint32_t> spoke_of(topo.spokes);
+  for (std::uint32_t h = 1; h <= topo.spokes; ++h) {
+    spoke_of[*fabric.PeerIdFor(0, h)] = h;
+  }
+  fabric.runtime(0).SetOnExecuted(
+      [&run](const ReceivedMessage& msg) { run.executed.push_back(msg); });
+  for (const Shot& shot : shots) {
+    const std::uint32_t spoke = spoke_of[shot.spoke_peer];
+    const PeerId to_hub = *fabric.PeerIdFor(spoke, 0);
+    fabric.engine().ScheduleAt(shot.at, [&fabric, spoke, to_hub, shot] {
+      const std::vector<std::uint8_t> usr(shot.usr_bytes, 1);
+      auto receipt = fabric.runtime(spoke).Send(to_hub, "ssum",
+                                                Invoke::kInjected, {}, usr);
+      ASSERT_TRUE(receipt.ok()) << receipt.status();
+    });
+  }
+  fabric.Run();
+  run.steals = fabric.runtime(0).stats().steals;
+  EXPECT_EQ(run.executed.size(), shots.size());
+  return run;
+}
+
+/// The hub's record of the frame from @p peer, the @p nth one (0-based).
+const ReceivedMessage& FrameFrom(const TriggerRun& run, PeerId peer,
+                                 std::size_t nth = 0) {
+  std::size_t seen = 0;
+  for (const ReceivedMessage& msg : run.executed) {
+    if (msg.from == peer && seen++ == nth) return msg;
+  }
+  ADD_FAILURE() << "no frame " << nth << " from peer " << peer;
+  static const ReceivedMessage kNone;
+  return kNone;
+}
+
+/// Pins the steal trigger at kStealThreshold 2 / kStealHysteresis 1. A
+/// victim's backlog counts its delivered, not yet completed frames,
+/// including the one it is executing. Here a long ssum from peer 0 keeps
+/// core 0 busy while short frames from peers 2 and 4 queue behind it.
+/// - An idle core that has not stolen yet (unarmed) leaves a backlog of
+///   2 alone and steals at 3: fails if the fresh trigger is 2 or 4.
+/// - Once a steal succeeded (armed), the thief steals at 2: fails if the
+///   armed trigger is 3. (An armed trigger of 1 acts the same here: a
+///   victim's lone backlog frame is the one it is executing, which no
+///   thief can take.)
+TEST(StealInvariantTest, StealTriggerIsThreeFreshAndTwoArmed) {
+  constexpr PicoTime kLongAt = 0;
+  const PicoTime kShortAt = Microseconds(4.0);
+  constexpr std::uint64_t kLong = KiB(32);
+  constexpr std::uint64_t kShort = KiB(2);
+
+  // Unarmed, backlog 2 (the long frame + one short): no steal.
+  const TriggerRun two =
+      RunTriggerShots({{0, kLongAt, kLong}, {2, kShortAt, kShort}});
+  EXPECT_EQ(two.steals, 0u);
+  EXPECT_LT(FrameFrom(two, 2).delivered_at, FrameFrom(two, 0).completed_at);
+  EXPECT_EQ(FrameFrom(two, 2).pool, 0u);
+
+  // Unarmed, backlog 3 (the long frame + two shorts): core 1 steals
+  // peer 2's bank and drains it.
+  const TriggerRun three = RunTriggerShots(
+      {{0, kLongAt, kLong}, {2, kShortAt, kShort}, {2, kShortAt, kShort}});
+  EXPECT_EQ(three.steals, 1u);
+  EXPECT_EQ(FrameFrom(three, 2, 0).pool, 1u);
+  EXPECT_EQ(FrameFrom(three, 2, 1).pool, 1u);
+  EXPECT_LT(FrameFrom(three, 2, 1).delivered_at,
+            FrameFrom(three, 0).completed_at);
+
+  // Armed: peer 4's short frame lands too, before core 1 has drained
+  // peer 2's bank. Core 1 comes back armed to a backlog of 2 (the long
+  // frame + peer 4's) and steals again.
+  const TriggerRun armed = RunTriggerShots({{0, kLongAt, kLong},
+                                            {2, kShortAt, kShort},
+                                            {2, kShortAt, kShort},
+                                            {4, kShortAt, kShort}});
+  EXPECT_EQ(armed.steals, 2u);
+  EXPECT_EQ(FrameFrom(armed, 4).pool, 1u);
+  EXPECT_LT(FrameFrom(armed, 4).delivered_at,
+            FrameFrom(armed, 2, 1).completed_at);
+  EXPECT_LT(FrameFrom(armed, 4).completed_at,
+            FrameFrom(armed, 0).completed_at);
+}
+
 /// A hard-skewed pool steals, executes frames off-affinity on the
 /// otherwise-idle cores, and drains faster than the same topology with
 /// stealing off.
@@ -124,8 +235,6 @@ TEST(StealInvariantTest, SkewedPoolStealsAndDrainsFaster) {
   // spoke's banks run dry.
   topo.messages_per_spoke = {96, 4};
   topo.steal.enabled = true;
-  topo.steal.threshold = 2;
-  topo.steal.hysteresis = 1;
   topo.seed = 0xBEEF;
 
   const PoolRunResult on = RunPoolIncast(topo, BenchPackage());
@@ -158,8 +267,6 @@ TEST(StealInvariantTest, BalancedPoolNeverSteals) {
   topo.messages_per_spoke = {40, 40};
   topo.identical_streams = true;
   topo.steal.enabled = true;
-  topo.steal.threshold = 2;
-  topo.steal.hysteresis = 1;
   topo.seed = 0xBA1A;
 
   const PoolRunResult result = RunPoolIncast(topo, BenchPackage());

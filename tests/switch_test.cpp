@@ -8,7 +8,7 @@
 // across every hop, zero frames dropped (backpressure holds instead),
 // the mark ledger reconciles (every ECN mark a switch applies is
 // delivered to exactly one NIC, every echoed mark is seen by exactly one
-// sender), the adaptive window never leaves [min_banks, banks], and a
+// sender), the adaptive window never leaves [kAdaptiveMinBanks, banks], and a
 // seed subsample reruns byte-identically.
 // Directed cases pin that an oversubscribed trunk actually marks, that
 // AIMD actually backs off and recovers, and that a starved buffer holds
@@ -57,8 +57,6 @@ PoolTopology RandomTreeTopology(std::uint64_t seed) {
   topo.wait_mode =
       rng.NextBelow(2) == 0 ? cpu::WaitMode::kPoll : cpu::WaitMode::kWfe;
   topo.steal.enabled = rng.NextBelow(2) == 0;
-  topo.steal.threshold = 1 + static_cast<std::uint32_t>(rng.NextBelow(3));
-  topo.steal.hysteresis = static_cast<std::uint32_t>(rng.NextBelow(2));
   // Tree shape: arity 1 puts every host on its own ToR (pure spine
   // traffic), tiers 1 collapses to a single shared switch.
   topo.tree.arity = 1 + static_cast<std::uint32_t>(rng.NextBelow(4));
@@ -69,14 +67,8 @@ PoolTopology RandomTreeTopology(std::uint64_t seed) {
   topo.switches.buffer_bytes = KiB(2) << rng.NextBelow(4);
   // 1..8 KiB marking threshold, sometimes above the buffer (clamp path).
   topo.switches.ecn_threshold_bytes = KiB(1) << rng.NextBelow(4);
-  // Adaptive AIMD banks mostly on; min_banks 0 and beta 1000 exercise
-  // the Initialize clamps on live traffic.
+  // Adaptive AIMD banks mostly on.
   topo.adaptive.enabled = rng.NextBelow(4) != 0;
-  topo.adaptive.min_banks = static_cast<std::uint32_t>(rng.NextBelow(3));
-  topo.adaptive.additive_increase_milli =
-      static_cast<std::uint32_t>(125 * rng.NextBelow(5));             // 0..500
-  topo.adaptive.decrease_beta_milli =
-      250 + static_cast<std::uint32_t>(250 * rng.NextBelow(4));       // ..1000
   // Every spoke carries real load (concurrent arrivals from *different*
   // hosts are what fill a shared buffer), plus one hot spoke for skew.
   topo.messages_per_spoke.resize(topo.spokes);
@@ -234,7 +226,6 @@ TEST(SwitchInvariantTest, SingleTierTreeDeliversEverything) {
   topo.banks = 2;
   topo.mailboxes_per_bank = 4;
   topo.steal.enabled = true;
-  topo.steal.threshold = 2;
   topo.tree.tiers = 1;
   topo.switches.buffer_bytes = KiB(8);
   topo.switches.ecn_threshold_bytes = KiB(2);

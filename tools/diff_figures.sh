@@ -33,9 +33,14 @@ runs=(
   "bench/fig10_stash_rate"
   "bench/fig11_tail_latency_indirect_put"
   "bench/fig13_wfe_indirect_put"
+  "bench/fig14_wfe_server_sum"
+  "bench/fig15_incast_scaling"
   "bench/fig15_incast_scaling --tree"
+  "bench/fig16_receiver_core_scaling --base"
   "bench/fig16_receiver_core_scaling --steal"
+  "bench/fig16_receiver_core_scaling --bias"
   "bench/fig17_numa_bank_placement --grid"
+  "bench/fig17_numa_bank_placement --domain-steal"
   "bench/fig18_hotplug_drain"
   "bench/fig19_kv_serving --quick"
   "examples/graph_scatter"
