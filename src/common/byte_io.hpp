@@ -29,13 +29,13 @@ class ByteWriter {
   void I64(std::int64_t v) { AppendLE(static_cast<std::uint64_t>(v)); }
 
   void Bytes(std::span<const std::uint8_t> bytes) {
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
+    Append(bytes.data(), bytes.size());
   }
 
   /// u32 length prefix followed by raw bytes.
   void LengthPrefixedString(std::string_view s) {
     U32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    Append(s.data(), s.size());
   }
 
   /// Pads with zero bytes up to the next multiple of @p align.
@@ -57,9 +57,16 @@ class ByteWriter {
  private:
   template <typename T>
   void AppendLE(T v) {
-    std::uint8_t buf[sizeof(T)];
-    std::memcpy(buf, &v, sizeof(T));  // host is little-endian (x86/arm LE)
-    out_.insert(out_.end(), buf, buf + sizeof(T));
+    Append(&v, sizeof(T));  // host is little-endian (x86/arm LE)
+  }
+
+  /// Grow, then copy in. An iterator-range vector::insert here draws
+  /// false -Wstringop-overflow/-Warray-bounds warnings from GCC 12 at -O3.
+  void Append(const void* src, std::size_t n) {
+    if (n == 0) return;  // src may be null for an empty span or string
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, src, n);
   }
 
   std::vector<std::uint8_t>& out_;

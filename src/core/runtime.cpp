@@ -90,7 +90,7 @@ Status Runtime::Initialize() {
   stealing_active_ = config_.steal.enabled && config_.receiver_cores > 1;
   if (config_.steal.enabled && config_.receiver_cores == 1) {
     TC_WARN << "work stealing enabled on a 1-core receiver pool — nothing "
-               "to steal from; disabling (no steal state allocated)";
+               "to steal from; disabling";
   }
 
   // Jam cache: the miss NAK mask rides in bits [32, 64) of the bank flag
@@ -226,16 +226,12 @@ StatusOr<PeerId> Runtime::AttachPeer(Runtime& remote) {
 
   peer.bank_cursor.assign(config_.banks, 0);
   // in_flight guards every handoff (steal and re-shard); ready feeds the
-  // O(1) backlog ledger. Both always exist; only the steal-claim table is
-  // gated on stealing.
+  // O(1) backlog ledger. Claims start at the home owner.
   peer.bank_in_flight.assign(config_.banks, 0);
   peer.bank_ready.assign(config_.banks, 0);
+  peer.bank_claim = peer.bank_home;
   if (config_.jam_cache.enabled) {
     peer.bank_nak_mask.assign(config_.banks, 0);
-  }
-  if (stealing_active_) {
-    // Claims start at the home owner.
-    peer.bank_claim = peer.bank_home;
   }
   // Adaptive window state: starts wide open at the full bank budget.
   peer.cwnd_milli = static_cast<std::uint64_t>(config_.banks) * 1000;
@@ -690,9 +686,6 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
         }
       },
       "tc.post");
-  ucxs::PutReceipt put_receipt;
-  put_receipt.protocol = protocol;
-  put_receipt.sender_overhead = proto_overhead;
 
   // Flow control: after filling a bank, close it until the flag returns.
   // Commit the bank pick (a biased divert becomes the new rotation point
@@ -739,8 +732,8 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   SendReceipt receipt;
   receipt.sn = header.sn;
   receipt.frame_len = frame.size();
-  receipt.protocol = put_receipt.protocol;
-  receipt.sender_cost = pack_time + put_receipt.sender_overhead;
+  receipt.protocol = protocol;
+  receipt.sender_cost = pack_time + proto_overhead;
   receipt.by_handle = by_handle;
   return receipt;
 }
@@ -936,8 +929,8 @@ void Runtime::MaybeBeginNext(std::uint32_t pool_index) {
   // A draining member only finishes the frame it already began; a
   // quiesced one scans nothing at all (its banks re-homed at quiesce).
   if (member.state != PoolCoreState::kActive) return;
-  // This pool core scans the heads of the banks it claims — its affinity
-  // shard plus any banks in its steal queue, across every peer's mailbox
+  // This pool core scans the heads of the banks it claims — its home
+  // banks plus any it holds a steal lease on, across every peer's mailbox
   // slice — and serves the earliest-delivered one: a fair sweep across
   // senders under incast. Only when that scan comes up empty does an idle
   // core consider sacrificing stash locality and stealing. Ties and the
@@ -1043,32 +1036,16 @@ const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
   // Ownership handoff: the thief now claims the bank and owes the rest of
   // its drain — including the flag return — until the claim reverts. A
   // bank can be stolen onward (even back by its home owner, which
-  // settles the claim home), so any previous thief's queue entry migrates
-  // rather than lingering, and the bank's backlog moves ledgers with it.
-  DropFromStealQueues(best_peer, best_bank);
+  // settles the claim home), and the bank's backlog moves ledgers with it.
   claim_backlog_[stolen_from] -= peers_[best_peer].bank_ready[best_bank];
   claim_backlog_[thief] += peers_[best_peer].bank_ready[best_bank];
   peers_[best_peer].bank_claim[best_bank] = thief;
-  if (HomeOf(best_peer, best_bank) != thief) {
-    member.stolen_banks.emplace_back(best_peer, best_bank);
-  }
   member.steal_armed = true;
-  ++member.wait_stats.banks_stolen;
-  ++pool_[stolen_from].wait_stats.banks_donated;
   ++stats_.steals;
   return best;
 }
 
-void Runtime::DropFromStealQueues(PeerId peer, std::uint32_t bank) {
-  const auto key = std::make_pair(peer, bank);
-  for (PoolCore& m : pool_) {
-    auto& queue = m.stolen_banks;
-    queue.erase(std::remove(queue.begin(), queue.end(), key), queue.end());
-  }
-}
-
 void Runtime::ReleaseBankClaim(PeerId peer, std::uint32_t bank) {
-  if (!stealing_active_) return;
   PeerState& p = peers_[peer];
   const std::uint32_t owner = p.bank_home[bank];
   const std::uint32_t holder = p.bank_claim[bank];
@@ -1077,7 +1054,6 @@ void Runtime::ReleaseBankClaim(PeerId peer, std::uint32_t bank) {
     claim_backlog_[owner] += p.bank_ready[bank];
   }
   p.bank_claim[bank] = owner;
-  DropFromStealQueues(peer, bank);
 }
 
 std::uint32_t Runtime::PickReshardTarget(std::uint32_t preferred_domain) {
@@ -1109,14 +1085,9 @@ void Runtime::ApplyBankHome(PeerId peer, std::uint32_t bank,
   const std::uint32_t holder = ClaimOf(peer, bank);
   claim_backlog_[holder] -= p.bank_ready[bank];
   claim_backlog_[new_home] += p.bank_ready[bank];
-  if (stealing_active_) {
-    p.bank_claim[bank] = new_home;
-    DropFromStealQueues(peer, bank);
-  }
+  p.bank_claim[bank] = new_home;
   p.bank_home[bank] = new_home;
   ++stats_.banks_resharded;
-  ++pool_[old_home].wait_stats.banks_resharded_out;
-  ++pool_[new_home].wait_stats.banks_resharded_in;
 }
 
 void Runtime::RehomeBank(PeerId peer, std::uint32_t bank,
@@ -1139,7 +1110,6 @@ void Runtime::FinishQuiesce(std::uint32_t pool_index) {
   ++member.wait_stats.quiesces;
   member.steal_armed = false;
   member.idle_since.reset();
-  if (!stealing_active_) return;
   // Any steal lease the member still holds reverts to the banks' home
   // owners — nothing may stay parked on a core that will never scan again
   // — and each owner gets woken to pick the backlog up.
@@ -1255,6 +1225,19 @@ std::uint32_t Runtime::BanksHomedTo(std::uint32_t pool_index) const noexcept {
     }
   }
   return homed;
+}
+
+std::uint32_t Runtime::StolenBanksHeld(
+    std::uint32_t pool_index) const noexcept {
+  std::uint32_t held = 0;
+  for (const PeerState& p : peers_) {
+    for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
+      if (p.bank_claim[bank] == pool_index && p.bank_home[bank] != pool_index) {
+        ++held;
+      }
+    }
+  }
+  return held;
 }
 
 std::uint32_t Runtime::PendingRehomes() const noexcept {
@@ -1787,15 +1770,13 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
 
   // NUMA ledger: a frame drained away from its bank's home domain (stolen
   // cross-domain, or flat placement) counts as remote, and the penalty
-  // cycles its processing actually paid land in both stat planes.
+  // cycles its processing actually paid are added to the ledger.
   const std::uint32_t frame_domain =
       host_.memory().DomainOf(SlotAddr(peers_[frame.peer], frame.slot));
   if (frame_domain != DomainOfPoolCore(frame.pool)) {
     ++stats_.frames_drained_remote;
-    ++pool_[frame.pool].wait_stats.frames_drained_remote;
   }
   stats_.remote_drain_cycles += remote_penalty_cycles;
-  pool_[frame.pool].wait_stats.remote_drain_cycles += remote_penalty_cycles;
 
   engine_.ScheduleAfter(
       busy,
@@ -1825,14 +1806,11 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
         --claim_backlog_[ClaimOf(frame.peer, bank)];
         p.bank_in_flight[bank] = 0;
         --p.bank_ready[bank];
-        if (stealing_active_ && frame.pool != home) {
-          ++stats_.frames_stolen;
-          ++pool_[frame.pool].wait_stats.frames_stolen;
-        }
+        if (frame.pool != home) ++stats_.frames_stolen;
         const bool bank_drained =
             p.bank_cursor[bank] == config_.mailboxes_per_bank - 1;
         if (bank_drained) {
-          if (stealing_active_ && p.bank_claim[bank] != home) {
+          if (p.bank_claim[bank] != home) {
             ++stats_.banks_drained_stolen;
           } else {
             ++stats_.banks_drained_owner;
@@ -1842,8 +1820,7 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
         p.ready.erase(frame.slot);
         p.bank_cursor[bank] =
             (p.bank_cursor[bank] + 1) % config_.mailboxes_per_bank;
-        if (stealing_active_ && p.bank_claim[bank] != home &&
-            p.bank_ready[bank] == 0) {
+        if (p.bank_claim[bank] != home && p.bank_ready[bank] == 0) {
           // The steal lease covers the backlog the thief took the bank
           // for. Once no delivered frame of the bank remains, the claim
           // reverts to the home owner so fresh fills land with their
@@ -1978,16 +1955,15 @@ Status Runtime::PutFlagWord(PeerState& peer, std::uint32_t bank,
   }
   Runtime* peer_rt = peer.runtime;
   const PeerId our_id_at_peer = peer.remote_id;
-  TC_ASSIGN_OR_RETURN(
-      const ucxs::PutReceipt receipt,
-      peer.endpoint->PutInline(
-          flag_word, peer.peer_flag_base + 8ull * bank, peer.peer_flag_rkey,
-          false,
-          [peer_rt, our_id_at_peer, bank](const net::PutCompletion& c) {
-            if (c.status.ok()) peer_rt->OnBankFlag(our_id_at_peer, bank);
-          }));
-  (void)receipt;
-  return Status::Ok();
+  return peer.endpoint
+      ->PutInline(flag_word, peer.peer_flag_base + 8ull * bank,
+                  peer.peer_flag_rkey, false,
+                  [peer_rt, our_id_at_peer, bank](const net::PutCompletion& c) {
+                    if (c.status.ok()) {
+                      peer_rt->OnBankFlag(our_id_at_peer, bank);
+                    }
+                  })
+      .status();
 }
 
 StatusOr<std::uint64_t> Runtime::PeekU64(const std::string& symbol,

@@ -42,7 +42,7 @@
 // Draining a bank away from its home domain — a stolen bank, or flat
 // placement — pays the cross-domain penalty on every fill that reaches the
 // remote LLC slice or DRAM; the cost is surfaced per frame in
-// RuntimeStats::remote_drain_cycles and each pool core's WaitStats.
+// RuntimeStats::remote_drain_cycles.
 //
 // Hotplug model: a pool core can be taken out of service at runtime
 // (Runtime::QuiesceCore): the core stops accepting new frames, finishes the
@@ -336,9 +336,8 @@ struct PeerStats {
 };
 
 /// Whole-runtime counter plane (monotonic; never reset). Ledger
-/// invariants the test suites enforce: banks_drained_owner +
-/// banks_drained_stolen == bank_flags_returned, and banks_resharded ==
-/// the sum of every pool core's WaitStats re-shard mirrors.
+/// invariant the test suites enforce: banks_drained_owner +
+/// banks_drained_stolen == bank_flags_returned.
 struct RuntimeStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_executed = 0;
@@ -376,8 +375,7 @@ struct RuntimeStats {
   std::uint64_t adaptive_refusals = 0; ///< sends refused by the window gate
   // Hotplug ledger (QuiesceCore / ReviveCore). A re-shard is a permanent
   // bank-home migration — counted once per applied home change, in either
-  // direction (quiesce handoff or revive restore); per-core mirrors live
-  // in each member's WaitStats (banks_resharded_in/out sum to this).
+  // direction (quiesce handoff or revive restore).
   std::uint64_t banks_resharded = 0;
   /// Frames already delivered into a quiescing core's banks — in flight or
   /// ready — at QuiesceCore time: the stranded backlog the drain protocol
@@ -594,17 +592,14 @@ class Runtime {
     return pool_[pool_index].wait_stats;
   }
   /// True when work stealing is actually armed: config_.steal.enabled and
-  /// the pool has at least two cores. A single-core pool never allocates
-  /// steal state (claim tables, steal queues) — enabling stealing there is
-  /// a documented no-op.
+  /// the pool has at least two cores. Only then do idle cores attempt
+  /// steals; enabling stealing on a single-core pool is a documented no-op.
   bool stealing_active() const noexcept { return stealing_active_; }
-  /// Banks pool member @p pool_index currently claims via steal (stolen
-  /// backlog not yet cleared). Zero at quiescence: every stolen claim
-  /// reverts to the affinity owner when its bank's flag goes home or the
-  /// bank has no delivered frames left.
-  std::uint32_t StolenBanksHeld(std::uint32_t pool_index) const noexcept {
-    return static_cast<std::uint32_t>(pool_[pool_index].stolen_banks.size());
-  }
+  /// Banks pool member @p pool_index claims but does not own: banks it
+  /// stole whose lease has not reverted yet. Zero at quiescence: every
+  /// stolen claim reverts to the home owner when its bank's flag goes home
+  /// or the bank has no delivered frames left.
+  std::uint32_t StolenBanksHeld(std::uint32_t pool_index) const noexcept;
   /// Frames delivered into this runtime's mailboxes and not yet fully
   /// processed (including any a pool core is currently executing). Zero at
   /// drain — the mailbox-leak invariant the soak suite asserts.
@@ -692,10 +687,6 @@ class Runtime {
     /// scan bank heads, steal, or receive re-sharded banks.
     PoolCoreState state = PoolCoreState::kActive;
     std::optional<PicoTime> idle_since;
-    /// Steal queue: banks this core claimed from a sibling and has not yet
-    /// drained through flag return (claim reverts to the affinity owner at
-    /// that point). Populated only while stealing is active.
-    std::vector<std::pair<PeerId, std::uint32_t>> stolen_banks;
     /// Schmitt-trigger state: true while this core's steals keep
     /// succeeding, so re-stealing needs only kStealThreshold backlog; a
     /// failed steal scan disarms it, raising the bar back to
@@ -779,9 +770,9 @@ class Runtime {
     /// handoff applies the moment the frame completes, preserving the
     /// "a bank mid-frame never changes hands" rule.
     std::vector<std::uint32_t> bank_pending_home;
-    /// Pool member currently claiming each bank (home owner unless
-    /// stolen). Allocated only while stealing is active — a 1-core pool or
-    /// steal-off run carries no steal-claim state at all.
+    /// Pool member currently claiming each bank: equal to bank_home except
+    /// while a steal lease holds the bank. Without stealing it never
+    /// leaves the home.
     std::vector<std::uint32_t> bank_claim;
     /// 1 while a frame of this bank is being processed. Guards every
     /// handoff — steal and re-shard alike: a bank mid-frame cannot change
@@ -838,17 +829,10 @@ class Runtime {
         (static_cast<std::uint64_t>(peer) + bank) % pool_.size());
   }
 
-  /// The pool member that currently *owns* (peer, bank): the affinity
-  /// owner unless a quiesce re-sharded the bank to a survivor.
-  std::uint32_t HomeOf(PeerId peer, std::uint32_t bank) const noexcept {
-    return peers_[peer].bank_home[bank];
-  }
-
-  /// The pool member currently responsible for (peer, bank): the claim
-  /// holder when stealing is active, the home owner otherwise.
+  /// The pool member currently responsible for (peer, bank): the home
+  /// owner, or a thief holding a steal lease on the bank.
   std::uint32_t ClaimOf(PeerId peer, std::uint32_t bank) const noexcept {
-    return stealing_active_ ? peers_[peer].bank_claim[bank]
-                            : peers_[peer].bank_home[bank];
+    return peers_[peer].bank_claim[bank];
   }
 
   // Receiver pipeline (each pool core runs its own instance).
@@ -874,12 +858,8 @@ class Runtime {
   /// — claims that sibling's oldest ready bank head. Returns the stolen
   /// bank's head frame, or nullptr (which disarms the Schmitt trigger).
   const ReadyFrame* TrySteal(std::uint32_t thief);
-  /// Removes (peer, bank) from every pool member's steal queue (claim
-  /// handoffs migrate the entry; releases retire it).
-  void DropFromStealQueues(PeerId peer, std::uint32_t bank);
-  /// Reverts (peer, bank) to its home owner and drops it from any
-  /// steal queue — called when the bank's flag returns (fully drained)
-  /// or its stolen backlog empties out.
+  /// Reverts (peer, bank)'s claim to its home owner — called when the
+  /// bank's flag returns (fully drained) or its stolen backlog empties out.
   void ReleaseBankClaim(PeerId peer, std::uint32_t bank);
   /// Re-shard target for a bank whose bytes live in @p preferred_domain:
   /// an active survivor in that domain when domain_aware_placement can
@@ -1012,10 +992,8 @@ class Runtime {
   /// Ready-frame backlog per pool member over the banks it claims —
   /// maintained on delivery, completion, and claim handoff, so TrySteal's
   /// victim pick and the flag-return idle hint are O(1)/O(pool) instead
-  /// of a (peer, bank) sweep. Invariant while stealing is active:
-  /// claim_backlog_[j] == sum of bank_ready over banks with claim j
-  /// (without stealing, claims never move, so the sum runs over j's
-  /// homed banks). Always allocated (one entry per pool member).
+  /// of a (peer, bank) sweep. Invariant: claim_backlog_[j] == sum of
+  /// bank_ready over banks with claim j. One entry per pool member.
   std::vector<std::uint64_t> claim_backlog_;
   /// Rotates through re-shard candidates so a quiesced core's banks spread
   /// across the survivors instead of piling on one (advanced only by

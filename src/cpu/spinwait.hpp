@@ -63,36 +63,9 @@ struct WaitStats {
   /// Cycles burned across all wait episodes.
   Cycles cycles_burned = 0;
 
-  // Work-stealing ledger (filled by the pooled receiver when stealing is
-  // enabled): instead of sleeping on empty banks, an idle waiter may claim
-  // a backlogged sibling's bank, trading the stash locality its affinity
-  // shard buys for utilization.
-  /// Bank claims this waiter took over from a backlogged sibling.
-  std::uint64_t banks_stolen = 0;
-  /// Bank claims a sibling took over from this waiter.
-  std::uint64_t banks_donated = 0;
-  /// Frames this waiter executed from banks outside its affinity shard.
-  std::uint64_t frames_stolen = 0;
-
-  // NUMA ledger (filled by the pooled receiver on multi-domain hosts):
-  // draining a bank homed in another memory domain — a stolen bank, or a
-  // bank placed flat with placement off — pays the cross-domain hop on
-  // every fill that reaches the remote LLC slice or DRAM.
-  /// Frames this waiter drained from banks homed in another domain.
-  std::uint64_t frames_drained_remote = 0;
-  /// Cross-domain penalty cycles this waiter's drains paid.
-  Cycles remote_drain_cycles = 0;
-
-  // Hotplug ledger (filled by the pooled receiver around QuiesceCore /
-  // ReviveCore): unlike a steal — a revertible lease — a re-shard is a
-  // *permanent* home change, so both directions are counted per waiter.
-  /// Times this waiter was quiesced (drained and taken out of the pool).
+  /// Times this waiter was quiesced: drained and taken out of a pooled
+  /// receiver by a hotplug quiesce.
   std::uint64_t quiesces = 0;
-  /// Bank homes migrated TO this waiter (quiesce re-shard or revive
-  /// restore landing here).
-  std::uint64_t banks_resharded_in = 0;
-  /// Bank homes migrated AWAY from this waiter.
-  std::uint64_t banks_resharded_out = 0;
 
   /// Folds one episode (idle for @p waited, resolved as @p outcome) in.
   void Record(PicoTime waited, const WaitOutcome& outcome) noexcept;

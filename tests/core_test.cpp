@@ -635,8 +635,9 @@ TEST_F(TwoChainsTest, StealOnSingleCorePoolIsNoOp) {
   steal.enabled = true;
   SetUpFabric(Options().WithStealing(steal));  // receiver_cores stays 1
 
-  // The config survives but resolves inactive: a 1-core pool allocates no
-  // steal state and never records a steal event.
+  // The config survives but resolves inactive: a 1-core pool never
+  // attempts a steal, so no claim leaves its home and no steal event is
+  // recorded.
   Runtime& rx = fabric_->runtime(1);
   EXPECT_TRUE(rx.config().steal.enabled);
   EXPECT_FALSE(rx.stealing_active());
@@ -713,8 +714,6 @@ TEST_F(TwoChainsTest, DomainPlacementKeepsAffinityDrainsLocal) {
   EXPECT_GT(rx.receiver_cpu(0).counters().messages_handled, 0u);
   EXPECT_GT(rx.receiver_cpu(1).counters().messages_handled, 0u);
   EXPECT_EQ(rx.stats().frames_drained_remote, 0u);
-  EXPECT_EQ(rx.receiver_wait_stats(0).frames_drained_remote, 0u);
-  EXPECT_EQ(rx.receiver_wait_stats(1).frames_drained_remote, 0u);
 }
 
 TEST_F(TwoChainsTest, FlatPlacementDrainsRemoteAndPaysThePenalty) {
@@ -731,10 +730,7 @@ TEST_F(TwoChainsTest, FlatPlacementDrainsRemoteAndPaysThePenalty) {
       rx.receiver_cpu(1).counters().messages_handled;
   EXPECT_GT(pool1_drained, 0u);
   EXPECT_EQ(rx.stats().frames_drained_remote, pool1_drained);
-  EXPECT_EQ(rx.receiver_wait_stats(1).frames_drained_remote, pool1_drained);
-  EXPECT_EQ(rx.receiver_wait_stats(0).frames_drained_remote, 0u);
   EXPECT_GT(rx.stats().remote_drain_cycles, 0u);
-  EXPECT_GT(rx.receiver_wait_stats(1).remote_drain_cycles, 0u);
 }
 
 TEST_F(TwoChainsTest, SingleDomainReportsNoRemoteDrains) {

@@ -144,9 +144,6 @@ struct PoolRunResult {
   std::vector<std::uint32_t> banks_homed_at_drain;
   /// Banks still homed to a non-active member at drain (must be zero).
   std::uint32_t banks_homed_dark_at_drain = 0;
-  /// Per-core re-shard mirrors summed over the pool.
-  std::uint64_t resharded_in_sum = 0;
-  std::uint64_t resharded_out_sum = 0;
 
   // Switched-fabric / ECN observables (all zero on direct-cabled runs).
   std::uint64_t switch_frames_forwarded = 0;  ///< summed over switches
@@ -202,8 +199,8 @@ inline FabricOptions MakePoolOptions(const PoolTopology& topo) {
 }
 
 /// Serializes everything an observer can see — engine counters, every
-/// runtime's stats table, and the hub's per-core counters including the
-/// steal ledger — into one string for byte-exact comparison.
+/// runtime's stats table (steal and re-shard ledgers included), and the
+/// hub's per-core counters — into one string for byte-exact comparison.
 inline std::string PoolFingerprint(Fabric& fabric) {
   std::string out = StrFormat("events=%llu now=%llu\n",
                               static_cast<unsigned long long>(
@@ -275,8 +272,7 @@ inline std::string PoolFingerprint(Fabric& fabric) {
     out += StrFormat(
         "core%u exec=%llu wait=%llu pack=%llu mem=%llu instr=%llu "
         "msgs=%llu episodes=%llu idle=%llu detect=%llu burned=%llu "
-        "bstolen=%llu bdonated=%llu fstolen=%llu quiesces=%llu rin=%llu "
-        "rout=%llu\n",
+        "quiesces=%llu\n",
         c,
         static_cast<unsigned long long>(pc.Of(cpu::CycleClass::kExecute)),
         static_cast<unsigned long long>(pc.Of(cpu::CycleClass::kWait)),
@@ -288,12 +284,7 @@ inline std::string PoolFingerprint(Fabric& fabric) {
         static_cast<unsigned long long>(ws.idle_picos),
         static_cast<unsigned long long>(ws.detection_picos),
         static_cast<unsigned long long>(ws.cycles_burned),
-        static_cast<unsigned long long>(ws.banks_stolen),
-        static_cast<unsigned long long>(ws.banks_donated),
-        static_cast<unsigned long long>(ws.frames_stolen),
-        static_cast<unsigned long long>(ws.quiesces),
-        static_cast<unsigned long long>(ws.banks_resharded_in),
-        static_cast<unsigned long long>(ws.banks_resharded_out));
+        static_cast<unsigned long long>(ws.quiesces));
   }
   for (std::uint32_t i = 0; i < fabric.switch_count(); ++i) {
     net::Switch& sw = fabric.sw(i);
@@ -469,9 +460,6 @@ inline PoolRunResult RunPoolIncast(const PoolTopology& topo,
     if (hub.pool_core_state(c) != PoolCoreState::kActive) {
       result.banks_homed_dark_at_drain += homed;
     }
-    const cpu::WaitStats& ws = hub.receiver_wait_stats(c);
-    result.resharded_in_sum += ws.banks_resharded_in;
-    result.resharded_out_sum += ws.banks_resharded_out;
   }
   result.hub = hub.stats();
   result.drained_at = fabric.engine().Now();
@@ -561,9 +549,8 @@ inline void ExpectPoolInvariants(const PoolTopology& topo,
   // Hotplug ledger reconciliation — these hold whether or not the run's
   // plan contained quiesce events (and whether or not they were refused):
   // every deferred handoff applied, no bank left homed to a dark core,
-  // every bank homed exactly once, the per-core re-shard mirrors sum to
-  // the runtime counter, and the stranded backlog each QuiesceCore call
-  // reported matches the ledger.
+  // every bank homed exactly once, and the stranded backlog each
+  // QuiesceCore call reported matches the ledger.
   EXPECT_EQ(r.pending_rehomes_at_drain, 0u) << ctx;
   EXPECT_EQ(r.banks_homed_dark_at_drain, 0u) << ctx;
   std::uint64_t homed_total = 0;
@@ -575,8 +562,6 @@ inline void ExpectPoolInvariants(const PoolTopology& topo,
               static_cast<std::uint64_t>(topo.spokes) * topo.banks)
         << ctx;
   }
-  EXPECT_EQ(r.resharded_in_sum, r.hub.banks_resharded) << ctx;
-  EXPECT_EQ(r.resharded_out_sum, r.hub.banks_resharded) << ctx;
   EXPECT_EQ(r.hub.frames_drained_during_quiesce, r.stranded_reported) << ctx;
   if (topo.quiesce.empty()) {
     EXPECT_EQ(r.hub.banks_resharded, 0u) << ctx;

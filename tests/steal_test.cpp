@@ -119,6 +119,9 @@ struct TriggerRun {
   std::uint64_t steals = 0;
   /// Every frame the hub executed, in completion order.
   std::vector<ReceivedMessage> executed;
+  /// hub.StolenBanksHeld(1) right after each completion (parallel to
+  /// `executed`): the steal leases core 1 still holds.
+  std::vector<std::uint32_t> core1_stolen_held;
 };
 
 /// A 2-core hub pool with one bank per peer, so hub peer p belongs to
@@ -142,8 +145,11 @@ TriggerRun RunTriggerShots(const std::vector<Shot>& shots) {
   for (std::uint32_t h = 1; h <= topo.spokes; ++h) {
     spoke_of[*fabric.PeerIdFor(0, h)] = h;
   }
-  fabric.runtime(0).SetOnExecuted(
-      [&run](const ReceivedMessage& msg) { run.executed.push_back(msg); });
+  Runtime& hub = fabric.runtime(0);
+  hub.SetOnExecuted([&run, &hub](const ReceivedMessage& msg) {
+    run.executed.push_back(msg);
+    run.core1_stolen_held.push_back(hub.StolenBanksHeld(1));
+  });
   for (const Shot& shot : shots) {
     const std::uint32_t spoke = spoke_of[shot.spoke_peer];
     const PeerId to_hub = *fabric.PeerIdFor(spoke, 0);
@@ -160,16 +166,31 @@ TriggerRun RunTriggerShots(const std::vector<Shot>& shots) {
   return run;
 }
 
+/// Index in run.executed of the frame from @p peer, the @p nth one
+/// (0-based); run.executed.size() when there is none.
+std::size_t FrameIndex(const TriggerRun& run, PeerId peer, std::size_t nth) {
+  std::size_t seen = 0;
+  for (std::size_t i = 0; i < run.executed.size(); ++i) {
+    if (run.executed[i].from == peer && seen++ == nth) return i;
+  }
+  ADD_FAILURE() << "no frame " << nth << " from peer " << peer;
+  return run.executed.size();
+}
+
 /// The hub's record of the frame from @p peer, the @p nth one (0-based).
 const ReceivedMessage& FrameFrom(const TriggerRun& run, PeerId peer,
                                  std::size_t nth = 0) {
-  std::size_t seen = 0;
-  for (const ReceivedMessage& msg : run.executed) {
-    if (msg.from == peer && seen++ == nth) return msg;
-  }
-  ADD_FAILURE() << "no frame " << nth << " from peer " << peer;
+  const std::size_t i = FrameIndex(run, peer, nth);
   static const ReceivedMessage kNone;
-  return kNone;
+  return i < run.executed.size() ? run.executed[i] : kNone;
+}
+
+/// Steal leases core 1 held right after the frame from @p peer, the
+/// @p nth one, completed.
+std::uint32_t Core1StolenHeldAfter(const TriggerRun& run, PeerId peer,
+                                   std::size_t nth) {
+  const std::size_t i = FrameIndex(run, peer, nth);
+  return i < run.core1_stolen_held.size() ? run.core1_stolen_held[i] : 0;
 }
 
 /// Pins the steal trigger at kStealThreshold 2 / kStealHysteresis 1. A
@@ -196,12 +217,15 @@ TEST(StealInvariantTest, StealTriggerIsThreeFreshAndTwoArmed) {
   EXPECT_EQ(FrameFrom(two, 2).pool, 0u);
 
   // Unarmed, backlog 3 (the long frame + two shorts): core 1 steals
-  // peer 2's bank and drains it.
+  // peer 2's bank and drains it. The lease holds while the bank still has
+  // a delivered frame and reverts to core 0 once the last one completes.
   const TriggerRun three = RunTriggerShots(
       {{0, kLongAt, kLong}, {2, kShortAt, kShort}, {2, kShortAt, kShort}});
   EXPECT_EQ(three.steals, 1u);
   EXPECT_EQ(FrameFrom(three, 2, 0).pool, 1u);
   EXPECT_EQ(FrameFrom(three, 2, 1).pool, 1u);
+  EXPECT_EQ(Core1StolenHeldAfter(three, 2, 0), 1u);
+  EXPECT_EQ(Core1StolenHeldAfter(three, 2, 1), 0u);
   EXPECT_LT(FrameFrom(three, 2, 1).delivered_at,
             FrameFrom(three, 0).completed_at);
 
